@@ -2,7 +2,7 @@
 
 Structure-preserving spectral truncation, the algebraic construction of
 its Nambu bracket (Killing form, quadratic Casimir, trilinear tensor),
-three equivalent right-hand sides, conservative integrators, and a
+four equivalent right-hand sides, conservative integrators, and a
 verification suite for every identity involved, including the controlled
 failure of the generalized Jacobi identity.
 """
@@ -18,7 +18,6 @@ from .grid import (
     energy,
     enstrophy,
     from_physical,
-    mod_reduce,
     stream_function,
     to_physical,
     validate_reality,
@@ -51,7 +50,6 @@ from .algebra import (
     killing_closed,
     lie_poisson_bracket,
     nambu_bracket,
-    nambu_tensor,
     orthogonality_check,
     quadratic_casimir,
     scan_gen_jacobi,

@@ -176,15 +176,8 @@ def alpha_continuum(i, j, k) -> float:
     return -float(i.cross(j)) / TWO_PI**2
 
 
-class StructureConstants:
-    """Antisymmetric structure constants alpha_ij^k of a mode algebra."""
-
-    def entry(self, i, j, k) -> float:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class ZeitlinConstants(StructureConstants):
+class ZeitlinConstants:
     """Sine-algebra constants of the truncation with parameter grid.n."""
 
     grid: TruncationGrid
@@ -207,14 +200,14 @@ class ZeitlinConstants(StructureConstants):
         return out
 
 
-class ContinuumConstants(StructureConstants):
+class ContinuumConstants:
     """Constants of the untruncated algebra; index set is all of Z^2 minus 0."""
 
     def entry(self, i, j, k) -> float:
         return alpha_continuum(i, j, k)
 
 
-class GenericConstants(StructureConstants):
+class GenericConstants:
     """Dense constants of a finite-dimensional algebra given as an array.
 
     Antisymmetry in the lower index pair is validated on construction.
@@ -267,13 +260,16 @@ def dense_jacobi_residual(alpha: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def killing_bruteforce(constants: StructureConstants, i, j) -> float:
-    """K_ij = sum_{k,l} alpha_ik^l alpha_jl^k by direct double contraction.
+def killing_bruteforce(
+    constants: ZeitlinConstants | GenericConstants | ContinuumConstants,
+) -> np.ndarray:
+    """K_ab = sum_{k,l} alpha_ak^l alpha_bl^k by direct double contraction.
 
-    For the truncated algebra the sum runs over the full retained set;
-    terms are dropped only where a wrap delta makes them exactly zero.
-    The untruncated algebra has no trace-class adjoint, so its Killing
-    form diverges and is refused.
+    Returns the full (N, N) matrix.  For the truncated algebra the sum runs
+    over the full retained set, one row a at a time; terms are dropped only
+    where a wrap delta makes them exactly zero, and the closed form is never
+    consulted.  The untruncated algebra has no trace-class adjoint, so its
+    Killing form diverges and is refused.
     """
     if isinstance(constants, ContinuumConstants):
         raise ValueError(
@@ -281,24 +277,24 @@ def killing_bruteforce(constants: StructureConstants, i, j) -> float:
             "only the truncated and generic variants admit one"
         )
     if isinstance(constants, GenericConstants):
-        a = constants.alpha
-        return float(np.einsum("kl,lk->", a[int(i)], a[int(j)]))
-    grid = constants.grid
-    a, b = grid.index_of(i), grid.index_of(j)
-    t = _pair_tables(grid.n)
-    pref = lie_poisson_prefactor(grid.n)
-    l_idx = t.wrap_index[a, :]  # upper index closing alpha_{i,k}
-    first = pref * t.sin_cross[a, :]
-    second = pref * _masked_gather_matrix_row(t.sin_cross, b, l_idx)
-    back = np.where(l_idx >= 0, t.wrap_index[b, np.clip(l_idx, 0, None)], -2)
-    match = back == np.arange(grid.size)
-    return float(np.sum(np.where(match, first * second, 0.0)))
-
-
-def _masked_gather_matrix_row(matrix: np.ndarray, row: int, index: np.ndarray) -> np.ndarray:
-    out = matrix[row, np.clip(index, 0, None)]
-    out[index < 0] = 0.0
+        return dense_killing_matrix(constants.alpha)
+    n, size = constants.grid.n, constants.grid.size
+    t = _pair_tables(n)
+    pref = lie_poisson_prefactor(n)
+    ks = np.arange(size)
+    out = np.empty((size, size))
+    for a in range(size):
+        l_idx = t.wrap_index[a]  # upper index closing alpha_{a,k}
+        k, l = ks[l_idx >= 0], l_idx[l_idx >= 0]
+        # alpha_{b,l}^k survives only where (b+l)|n lands back on k
+        second = np.where(t.wrap_index[:, l] == k, t.sin_cross[:, l], 0.0)
+        out[a] = (pref * second) @ (pref * t.sin_cross[a, k])
     return out
+
+
+def dense_killing_matrix(alpha: np.ndarray) -> np.ndarray:
+    """K_ij = sum_{k,l} alpha_ik^l alpha_jl^k of a dense (not validated) tensor."""
+    return np.einsum("ikl,jlk->ij", alpha, alpha)
 
 
 def killing_closed(grid: TruncationGrid, i, j) -> float:
@@ -330,12 +326,8 @@ def orthogonality_check(grid: TruncationGrid, l, tol: float = 1e-11) -> float:
     return total
 
 
-class KillingForm:
-    """Symmetric invariant pairing on a mode algebra."""
-
-
 @dataclass(frozen=True)
-class ClosedKillingForm(KillingForm):
+class ClosedKillingForm:
     """Closed-form Killing pairing of the truncation: K_ij = c_n delta_{(i+j)|n,0}."""
 
     grid: TruncationGrid
@@ -344,11 +336,7 @@ class ClosedKillingForm(KillingForm):
         return killing_closed(self.grid, i, j)
 
     def inverse_entry(self, i, j) -> float:
-        i, j = _as_wave_vector(i), _as_wave_vector(j)
-        self.grid.index_of(i), self.grid.index_of(j)
-        if self.grid.mod_reduce(i + j) != (0, 0):
-            return 0.0
-        return killing_inverse_diagonal(self.grid.n)
+        return killing_inverse_diagonal(self.grid.n) if self.entry(i, j) else 0.0
 
     def as_matrix(self) -> np.ndarray:
         grid = self.grid
@@ -357,7 +345,7 @@ class ClosedKillingForm(KillingForm):
         return out
 
 
-class DenseKillingForm(KillingForm):
+class DenseKillingForm:
     """Killing matrix of a generic algebra with a validated inverse."""
 
     def __init__(self, matrix: np.ndarray, symmetry_tol: float = 1e-12):
@@ -420,15 +408,8 @@ def quadratic_casimir(grid: TruncationGrid, field: ModeField, tol: float = 1e-12
 # ---------------------------------------------------------------------------
 
 
-class NambuTensor:
-    """Totally antisymmetric trilinear tensor of a mode algebra."""
-
-    def entry(self, i, j, k) -> float:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class SineNambuTensor(NambuTensor):
+class SineNambuTensor:
     """N_ijk of the truncation: supported where (i+j+k) wraps to the origin."""
 
     grid: TruncationGrid
@@ -449,7 +430,7 @@ class SineNambuTensor(NambuTensor):
 
 
 @dataclass(frozen=True)
-class ContinuumNambuTensor(NambuTensor):
+class ContinuumNambuTensor:
     """Untruncated tensor: supported on exactly closing triples i+j+k = 0."""
 
     def entry(self, i, j, k) -> float:
@@ -462,7 +443,7 @@ class ContinuumNambuTensor(NambuTensor):
         return -float(i.cross(j)) / TWO_PI**4
 
 
-class DenseNambuTensor(NambuTensor):
+class DenseNambuTensor:
     """Dense trilinear tensor of a generic algebra, validated antisymmetric."""
 
     def __init__(self, array: np.ndarray, antisymmetry_tol: float = 1e-12):
@@ -501,9 +482,8 @@ def dense_total_antisymmetry_residual(array: np.ndarray) -> float:
     return worst / scale
 
 
-def nambu_tensor(tensor: NambuTensor, i, j, k) -> float:
-    """Entry access with the variant's own index validation."""
-    return tensor.entry(i, j, k)
+# The three tensor variants; each exposes ``entry(i, j, k)``.
+_AnyNambuTensor = SineNambuTensor | ContinuumNambuTensor | DenseNambuTensor
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +529,8 @@ def construct_generic(
         raise ValidationError(
             f"structure constants violate the Jacobi identity: relative residual {jacobi:.3e}"
         )
-    a = constants.alpha
-    killing = DenseKillingForm(np.einsum("ikl,jlk->ij", a, a))
-    nambu = DenseNambuTensor(np.einsum("ijl,lk->ijk", a, killing.matrix) / scaling)
+    killing = DenseKillingForm(killing_bruteforce(constants))
+    nambu = DenseNambuTensor(np.einsum("ijl,lk->ijk", constants.alpha, killing.matrix) / scaling)
     return GenericAlgebra(
         constants=constants,
         killing=killing,
@@ -622,7 +601,7 @@ def _nambu_matrix(grid: TruncationGrid, g3: np.ndarray) -> np.ndarray:
 
 
 def nambu_bracket(
-    tensor: NambuTensor,
+    tensor: _AnyNambuTensor,
     f1: Functional,
     f2: Functional,
     f3: Functional,
@@ -647,7 +626,7 @@ def nambu_bracket(
 
 
 def support_nambu_bracket(
-    tensor: NambuTensor,
+    tensor: _AnyNambuTensor,
     p1: ModePolynomial,
     p2: ModePolynomial,
     p3: ModePolynomial,
@@ -681,7 +660,7 @@ def support_nambu_bracket(
 # ---------------------------------------------------------------------------
 
 
-def gen_jacobi_terms(tensor: NambuTensor, i, j, k, l, p, q) -> tuple[float, float, float]:
+def gen_jacobi_terms(tensor: _AnyNambuTensor, i, j, k, l, p, q) -> tuple[float, float, float]:
     """The three summands of the generalized Jacobi combination.
 
     Their sum vanishes identically for a fundamental (Nambu-Lie) tensor;
@@ -693,7 +672,7 @@ def gen_jacobi_terms(tensor: NambuTensor, i, j, k, l, p, q) -> tuple[float, floa
     return (t1, t2, t3)
 
 
-def gen_jacobi_residual(tensor: NambuTensor, i, j, k, l, p, q) -> float:
+def gen_jacobi_residual(tensor: _AnyNambuTensor, i, j, k, l, p, q) -> float:
     """Residual of the generalized Jacobi identity at one index tuple."""
     t1, t2, t3 = gen_jacobi_terms(tensor, i, j, k, l, p, q)
     return t1 + t2 + t3
@@ -750,7 +729,7 @@ def dedupe_violations(violations: Sequence[JacobiViolation]) -> list[JacobiViola
 
 
 def scan_gen_jacobi(
-    tensor: NambuTensor,
+    tensor: _AnyNambuTensor,
     bound: int | None = None,
     workers: int = 1,
     tol: float | None = None,

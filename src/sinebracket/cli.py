@@ -9,10 +9,11 @@ converge     tabulate the truncation error decay and fit its exponent
 jacobi-scan  exhaustively scan for generalized-Jacobi violations
 
 Exit codes: 0 success, 1 check failure, 2 usage or configuration error,
-3 runtime failure.  Every output file gains a ``.meta.json`` sidecar
-recording version, configuration hash, and seed; outputs are
-byte-identical across reruns of the same configuration and seed in
-single-worker mode.
+3 runtime failure.  ``run`` accepts a negative ``dt`` (a reversed run) and
+exits 3 without writing outputs when the state becomes non-finite.  Every
+output file gains a ``.meta.json`` sidecar recording version,
+configuration hash, and seed; outputs are byte-identical across reruns of
+the same configuration and seed in single-worker mode.
 """
 
 from __future__ import annotations
@@ -65,7 +66,11 @@ DEFAULT_CONVERGENCE_PAIRS = (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated simulation configuration."""
+    """Parsed simulation configuration with defaults filled in.
+
+    Values are checked where they are used: ``n`` by the truncation grid,
+    the scheme and step parameters by :class:`IntegratorConfig`.
+    """
 
     n: int
     scheme: str
@@ -79,7 +84,7 @@ class RunConfig:
     @classmethod
     def from_mapping(cls, raw: dict) -> "RunConfig":
         try:
-            cfg = cls(
+            return cls(
                 n=int(raw["n"]),
                 scheme=str(raw.get("scheme", "rk4")),
                 dt=float(raw["dt"]),
@@ -91,13 +96,6 @@ class RunConfig:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad run configuration: {exc}") from exc
-        if cfg.n % 2 == 0 or cfg.n < 3:
-            raise ValidationError(f"n must be odd and >= 3, got {cfg.n}")
-        if not cfg.dt > 0:
-            raise ValidationError(f"dt must be positive, got {cfg.dt}")
-        if cfg.steps < 1 or cfg.record_every < 1:
-            raise ValidationError("steps and record_every must be positive")
-        return cfg
 
     def as_dict(self) -> dict:
         return {
@@ -341,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--steps", type=int, default=None, help="override config steps")
     p_run.add_argument("--seed", type=int, default=None, help="override config seed")
     p_run.add_argument("--out", default=None, help="override config output directory")
-    p_run.add_argument("--workers", type=int, default=1, help="reserved; runs are sequential")
     p_run.set_defaults(handler=cmd_run)
 
     p_verify = sub.add_parser("verify", help="run identity checks")
@@ -354,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     group.add_argument("--suite", default=None, metavar="NAME", help="a single named check")
     p_verify.add_argument("--out", default="verify_report.json", help="JSON report path")
-    p_verify.add_argument("--workers", type=int, default=1)
     p_verify.set_defaults(handler=cmd_verify)
 
     p_conv = sub.add_parser("converge", help="truncation-error decay study")

@@ -6,12 +6,15 @@ The equation of motion in mode space is
                      zeta_{(i+k)|n} zeta_{-k}
 
 equivalently the Lie-Poisson flow of the kinetic energy, equivalently the
-Nambu flow {zeta_i, H, E}.  Three independent assemblies of the right-hand
+Nambu flow {zeta_i, H, E}.  Four independent assemblies of the right-hand
 side are provided and must agree to rounding:
 
-* :func:`rhs_naive`    direct double sum, O(n^4), the reference;
-* :func:`rhs_nambu`    contraction of the Nambu tensor with both gradients;
-* :func:`rhs_fast`     matrix-commutator form, O(n^3).
+* :func:`rhs_naive`             direct double sum, O(n^4), the reference;
+* :func:`rhs_nambu`             contraction of the Nambu tensor with both
+                                gradients;
+* :func:`rhs_from_lie_poisson`  {zeta_i, H} mode by mode through the
+                                functional machinery;
+* :func:`rhs_fast`              matrix-commutator form, O(n^3).
 
 The fast route rewrites the truncated field as an n x n matrix over the
 clock-and-shift basis, where the sine bracket becomes an exact matrix
@@ -60,33 +63,32 @@ def enstrophy_gradient(grid: TruncationGrid, field: ModeField) -> np.ndarray:
     return TWO_PI**2 * field.coeffs[grid.neg_index]
 
 
-def _quadratic_value(grid: TruncationGrid, field: ModeField, weights: np.ndarray) -> complex:
-    z = field.coeffs
-    return complex(0.5 * TWO_PI**2 * np.sum(weights * z * z[grid.neg_index]))
-
-
-def hamiltonian_functional(grid: TruncationGrid) -> Functional:
-    """Kinetic energy as a differentiable observable.
+def _quadratic_functional(
+    grid: TruncationGrid, weights: np.ndarray, gradient: Callable, name: str
+) -> Functional:
+    """(2pi)^2/2 * sum_k w_k zeta_k zeta_{-k} as a differentiable observable.
 
     The value map is the raw quadratic sum (complex for non-symmetric
     inputs) so that finite-difference probing stays well defined; it
-    coincides with :func:`~sinebracket.grid.energy` on reality fields.
+    coincides with :func:`~sinebracket.grid.energy` or
+    :func:`~sinebracket.grid.enstrophy` on reality fields.
     """
-    weights = 1.0 / grid.norms2
-    return Functional(
-        lambda field: _quadratic_value(grid, field, weights),
-        lambda field: hamiltonian_gradient(grid, field),
-        name="hamiltonian",
-    )
+
+    def value(field: ModeField) -> complex:
+        z = field.coeffs
+        return complex(0.5 * TWO_PI**2 * np.sum(weights * z * z[grid.neg_index]))
+
+    return Functional(value, lambda field: gradient(grid, field), name=name)
+
+
+def hamiltonian_functional(grid: TruncationGrid) -> Functional:
+    """Kinetic energy as a differentiable observable."""
+    return _quadratic_functional(grid, 1.0 / grid.norms2, hamiltonian_gradient, "hamiltonian")
 
 
 def enstrophy_functional(grid: TruncationGrid) -> Functional:
-    weights = np.ones(grid.size)
-    return Functional(
-        lambda field: _quadratic_value(grid, field, weights),
-        lambda field: enstrophy_gradient(grid, field),
-        name="enstrophy",
-    )
+    """Enstrophy as a differentiable observable."""
+    return _quadratic_functional(grid, np.ones(grid.size), enstrophy_gradient, "enstrophy")
 
 
 # ---------------------------------------------------------------------------

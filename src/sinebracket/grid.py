@@ -179,10 +179,6 @@ def build_grid(n: int) -> TruncationGrid:
     return TruncationGrid(int(n))
 
 
-def mod_reduce(grid: TruncationGrid, v) -> WaveVector:
-    return grid.mod_reduce(v)
-
-
 @dataclass
 class ModeField:
     """Vorticity mode coefficients on a truncation grid.
@@ -250,9 +246,15 @@ class ModeField:
 
 
 def validate_reality(field: ModeField, tol: float = REALITY_TOL) -> float:
-    """Check the reality condition and return the relative residual."""
+    """Check the reality condition and return the relative residual.
+
+    A non-finite coefficient raises :class:`ConsistencyError`; a residual
+    above ``tol`` raises :class:`ValidationError`.
+    """
     residual = field.reality_residual()
-    if residual > tol:
+    if not residual <= tol:  # a non-finite field gives a NaN residual
+        if not np.all(np.isfinite(field.coeffs)):
+            raise ConsistencyError("mode field has non-finite coefficients")
         raise ValidationError(
             f"reality condition violated: relative residual {residual:.3e} exceeds {tol:.1e}"
         )

@@ -18,6 +18,7 @@ import numpy as np
 
 from .algebra import (
     KNOWN_JACOBI_VIOLATION,
+    ClosedKillingForm,
     ContinuumNambuTensor,
     JacobiViolation,
     SineNambuTensor,
@@ -33,9 +34,9 @@ from .algebra import (
     dedupe_violations,
     dense_antisymmetry_residual,
     dense_jacobi_residual,
+    dense_killing_matrix,
     gen_jacobi_terms,
     killing_bruteforce,
-    killing_closed,
     killing_diagonal,
     lie_poisson_prefactor,
     scan_gen_jacobi,
@@ -135,19 +136,11 @@ def _table_jacobi_residual(grid: TruncationGrid) -> float:
 
 
 def _killing_residual(grid: TruncationGrid, alpha_override: np.ndarray | None) -> float:
-    if alpha_override is not None:
-        a = alpha_override
-        brute = np.einsum("ikl,jlk->ij", a, a)
+    if alpha_override is None:
+        brute = killing_bruteforce(ZeitlinConstants(grid))
     else:
-        zc = ZeitlinConstants(grid)
-        brute = np.empty((grid.size, grid.size))
-        for ai, vi in enumerate(grid.vectors):
-            for bj, vj in enumerate(grid.vectors):
-                brute[ai, bj] = killing_bruteforce(zc, tuple(vi), tuple(vj))
-    closed = np.zeros_like(brute)
-    for ai, vi in enumerate(grid.vectors):
-        mj = int(grid.neg_index[ai])
-        closed[ai, mj] = killing_closed(grid, tuple(vi), tuple(grid.vectors[mj]))
+        brute = dense_killing_matrix(alpha_override)
+    closed = ClosedKillingForm(grid).as_matrix()
     return float(np.max(np.abs(brute - closed))) / abs(killing_diagonal(grid.n))
 
 
@@ -270,9 +263,9 @@ def run_identity_suite(
     the checks that consume structure constants directly (antisymmetry,
     Jacobi, Killing); this is the fault-injection entry point.
     """
-    if n % 2 == 0 or not 3 <= n <= 15:
-        raise ValueError(f"identity suite needs odd n in [3, 15], got {n}")
     grid = build_grid(n)
+    if n > 15:
+        raise ValueError(f"identity suite is capped at n = 15, got {n}")
     rng = np.random.default_rng(seed)
     base = {"n": n, "seed": seed}
     reports: list[CheckReport] = []
@@ -331,8 +324,8 @@ def run_counterexample(n: int) -> CheckReport:
     residual is the worst spurious summand (inf when a first summand
     degenerates to zero, so the check fails in that direction too).
     """
-    if n % 2 == 0 or n < 5:
-        raise ValueError(f"counterexample evaluation needs odd n >= 5, got {n}")
+    if n < 5:
+        raise ValueError(f"counterexample evaluation needs n >= 5, got {n}")
     grid = build_grid(n)
     tup = KNOWN_JACOBI_VIOLATION
     started = time.perf_counter()

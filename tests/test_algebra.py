@@ -175,7 +175,7 @@ def test_killing_literal_oracle_n3():
     n = 3
     grid = build_grid(n)
     vs = [tuple(v) for v in grid]
-    zc = ZeitlinConstants(grid)
+    brute = killing_bruteforce(ZeitlinConstants(grid))
     kappa = KILLING_DIAGONAL_ANCHORS[n]
     for i in vs:
         for j in vs:
@@ -185,25 +185,26 @@ def test_killing_literal_oracle_n3():
                     literal += _alpha_literal(n, i, k, l) * _alpha_literal(n, j, l, k)
             expected = kappa if _wrap(i[0] + j[0], n) == 0 and _wrap(i[1] + j[1], n) == 0 else 0.0
             assert literal == pytest.approx(expected, abs=1e-14 * abs(kappa))
-            assert killing_bruteforce(zc, i, j) == pytest.approx(literal, abs=1e-13 * abs(kappa))
+            entry = brute[grid.index_of(i), grid.index_of(j)]
+            assert entry == pytest.approx(literal, abs=1e-13 * abs(kappa))
             assert killing_closed(grid, i, j) == pytest.approx(expected, abs=1e-14 * abs(kappa))
 
 
 def test_killing_brute_equals_closed():
     for n in (5, 7):
         grid = build_grid(n)
-        zc = ZeitlinConstants(grid)
+        brute = killing_bruteforce(ZeitlinConstants(grid))
         kappa = KILLING_DIAGONAL_ANCHORS[n]
         assert killing_closed(grid, (1, 0), (-1, 0)) == pytest.approx(kappa, rel=1e-13)
         for i, j in [((1, 0), (-1, 0)), ((2, 1), (-2, -1)), ((1, 0), (0, 1)), ((2, 2), (1, 1))]:
-            assert killing_bruteforce(zc, i, j) == pytest.approx(
+            assert brute[grid.index_of(i), grid.index_of(j)] == pytest.approx(
                 killing_closed(grid, i, j), abs=1e-12 * abs(kappa)
             )
 
 
 def test_killing_of_continuum_algebra_refused():
     with pytest.raises(ValueError, match="diverges"):
-        killing_bruteforce(ContinuumConstants(), (1, 0), (-1, 0))
+        killing_bruteforce(ContinuumConstants())
 
 
 def test_orthogonality_relation():

@@ -107,14 +107,44 @@ def test_run_usage_errors(tmp_path):
     assert main(["run", "--config", str(bad_json)]) == EXIT_USAGE
     for overrides in (
         {"dt": 0.0},
-        {"dt": -1e-3},
+        {"dt": float("nan")},
+        {"dt": float("inf")},
+        {"scheme": "euler"},
         {"n": 8},
-        {"steps": 0},
         {"initial_condition": {"type": "vortex"}},
         {"initial_condition": {"type": "modes", "modes": []}},
     ):
         cfg_path, _ = _write_config(tmp_path, **overrides)
         assert main(["run", "--config", str(cfg_path)]) == EXIT_USAGE, overrides
+        assert not (tmp_path / "out").exists(), overrides
+
+
+def test_run_accepts_negative_dt_and_zero_steps(tmp_path):
+    cfg_path, config = _write_config(tmp_path, dt=-1e-3)
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["final_time"] == pytest.approx(config["steps"] * config["dt"], rel=1e-12)
+
+    cfg_path, _ = _write_config(tmp_path, steps=0, out_dir=str(tmp_path / "still"))
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+    still = tmp_path / "still"
+    assert (still / "final_state.csv").read_bytes() == (still / "initial_state.csv").read_bytes()
+
+
+def test_run_blow_up_is_runtime_error(tmp_path, capsys):
+    # RK4 far beyond its stability limit: the state overflows to NaN
+    cfg_path, _ = _write_config(
+        tmp_path,
+        n=11,
+        dt=5.0,
+        steps=50,
+        record_every=5,
+        seed=0,
+        initial_condition={"type": "shell", "amplitude": 50.0},
+    )
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_RUNTIME
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_physical_csv_roundtrip(tmp_path):

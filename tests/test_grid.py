@@ -13,7 +13,6 @@ from sinebracket.grid import (
     energy,
     enstrophy,
     from_physical,
-    mod_reduce,
     stream_function,
     to_physical,
     validate_reality,
@@ -46,9 +45,9 @@ def test_grid_rejects_even_and_tiny_n():
 
 def test_mod_reduce_symmetric_window():
     grid = build_grid(5)
-    assert mod_reduce(grid, (3, -3)) == (-2, 2)
-    assert mod_reduce(grid, (2, 5)) == (2, 0)
-    assert mod_reduce(grid, (7, -7)) == (2, -2)
+    assert grid.mod_reduce((3, -3)) == (-2, 2)
+    assert grid.mod_reduce((2, 5)) == (2, 0)
+    assert grid.mod_reduce((7, -7)) == (2, -2)
     # every representative lands inside the window, congruent per coordinate
     for n in (3, 5, 7):
         g = build_grid(n)

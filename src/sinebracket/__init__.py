@@ -39,6 +39,7 @@ from .algebra import (
     JacobiViolation,
     KNOWN_JACOBI_VIOLATION,
     SineNambuTensor,
+    ViolationTable,
     ZeitlinConstants,
     alpha_continuum,
     alpha_zeitlin,

@@ -32,11 +32,11 @@ bitwise, not merely to rounding.
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -685,6 +685,63 @@ class JacobiViolation(NamedTuple):
     residual: float
 
 
+def _read_only(values, dtype) -> np.ndarray:
+    view = np.asarray(values, dtype=dtype).view()
+    view.setflags(write=False)
+    return view
+
+
+class ViolationTable(Sequence):
+    """Scan hits held as integer arrays, read as :class:`JacobiViolation` rows.
+
+    Row r is the index tuple ``triples[first[r]] + triples[second[r]]``
+    with residual ``residual[r]``.  A triple holds three member codes, and
+    code c stands for ``members[c]``: a wave vector, or a plain basis
+    label for a dense tensor.  Indexing and iteration build the members
+    only when asked; a slice or an index array selects a sub-table.
+    """
+
+    def __init__(self, members: Sequence, triples, first, second, residual):
+        self.members = tuple(members)
+        self.triples = _read_only(triples, np.int32).reshape(-1, 3)
+        self.first = _read_only(first, np.int32)
+        self.second = _read_only(second, np.int32)
+        self.residual = _read_only(residual, np.float64)
+
+    def __len__(self) -> int:
+        return len(self.residual)
+
+    def __getitem__(self, key):
+        if isinstance(key, (slice, np.ndarray)):
+            return ViolationTable(
+                self.members, self.triples, self.first[key], self.second[key], self.residual[key]
+            )
+        r = range(len(self))[key]
+        codes = self.triples[self.first[r]].tolist() + self.triples[self.second[r]].tolist()
+        return JacobiViolation(tuple(self.members[c] for c in codes), float(self.residual[r]))
+
+    def __iter__(self):
+        spelled = [tuple(self.members[c] for c in t) for t in self.triples.tolist()]
+        rows = zip(self.first.tolist(), self.second.tolist(), self.residual.tolist())
+        for a, b, residual in rows:
+            yield JacobiViolation(spelled[a] + spelled[b], residual)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def find(self, indices: tuple) -> int | None:
+        """Row of the first hit at the six-member tuple ``indices``, or None."""
+        if not all(m in self.members for m in indices):
+            return None
+        codes = np.array([self.members.index(m) for m in indices])
+        ijk = np.flatnonzero((self.triples == codes[:3]).all(axis=1))
+        lpq = np.flatnonzero((self.triples == codes[3:]).all(axis=1))
+        rows = np.flatnonzero(np.isin(self.first, ijk) & np.isin(self.second, lpq))
+        return int(rows[0]) if rows.size else None
+
+
 @functools.lru_cache(maxsize=None)
 def _vector_objects(n: int) -> tuple[WaveVector, ...]:
     grid = TruncationGrid(n)
@@ -706,34 +763,40 @@ def _violation_orbit(indices: tuple) -> list[tuple]:
     return images
 
 
-def _canonical_violation_key(indices: tuple) -> tuple:
-    flat = [tuple(int(c) for c in np.atleast_1d(np.asarray(member)).ravel()) for member in indices]
-
-    def flatten(img):
-        return tuple(c for member in img for c in member)
-
-    images = _violation_orbit(tuple(flat))
-    return min(flatten(img) for img in images)
+#: Rows per block when packing orbit keys, bounding the dedupe's scratch.
+_KEY_BLOCK = 1 << 16
 
 
-def dedupe_violations(violations: Sequence[JacobiViolation]) -> list[JacobiViolation]:
-    """Keep one representative per symmetry orbit, in input order."""
-    seen: set[tuple] = set()
-    kept = []
-    for v in violations:
-        key = _canonical_violation_key(v.indices)
-        if key not in seen:
-            seen.add(key)
-            kept.append(v)
-    return kept
+def dedupe_violations(violations: ViolationTable) -> ViolationTable:
+    """Keep one representative per symmetry orbit, in input order.
+
+    The six member codes of a tuple are the digits of one int64 in base
+    ``len(members)``; an orbit's key is the smallest such number over the
+    12 images of :func:`_violation_orbit`, and the first row with each key
+    is kept.  Raises ``ValueError`` when the packing would overflow.
+    """
+    base = len(violations.members)
+    if base**6 > 2**63:
+        raise ValueError(f"{base} members overflow the int64 orbit key (at most 1448)")
+    # place[s, e]: the digit weight that image e gives to slot s of the tuple
+    images = np.array(_violation_orbit(tuple(range(6))))
+    place = np.zeros((6, len(images)), dtype=np.int64)
+    place[images, np.arange(len(images))[:, None]] = base ** np.arange(5, -1, -1, dtype=np.int64)
+    triples = violations.triples.astype(np.int64)
+    lead, tail = triples @ place[:3], triples @ place[3:]
+    keys = np.empty(len(violations), dtype=np.int64)
+    for start in range(0, len(keys), _KEY_BLOCK):
+        block = slice(start, start + _KEY_BLOCK)
+        keys[block] = (lead[violations.first[block]] + tail[violations.second[block]]).min(axis=1)
+    _, kept = np.unique(keys, return_index=True)
+    return violations[np.sort(kept)]
 
 
 def scan_gen_jacobi(
     tensor: _AnyNambuTensor,
     bound: int | None = None,
-    workers: int = 1,
     tol: float | None = None,
-) -> list[JacobiViolation]:
+) -> ViolationTable:
     """Find all violations of the generalized Jacobi identity.
 
     The scan enumerates tuples whose first summand has both delta factors
@@ -744,11 +807,11 @@ def scan_gen_jacobi(
 
     A tuple is reported when |residual| > tol; the default threshold is
     1e-10 * (max |N|)^2.  ``bound`` limits the free wave-vector components
-    for the untruncated tensor (required there, ignored otherwise).
-    ``workers`` splits the truncated scan into independent slabs.
+    for the untruncated tensor (required there, ignored otherwise).  Hits
+    come back as a :class:`ViolationTable` in enumeration order.
     """
     if isinstance(tensor, SineNambuTensor):
-        return _scan_sine(tensor, workers=workers, tol=tol)
+        return _scan_sine(tensor, tol=tol)
     if isinstance(tensor, ContinuumNambuTensor):
         if bound is None:
             raise ValueError("the untruncated scan needs a bound on the free components")
@@ -758,7 +821,7 @@ def scan_gen_jacobi(
     raise TypeError(f"cannot scan tensor of type {type(tensor).__name__}")
 
 
-def _scan_sine(tensor: SineNambuTensor, workers: int, tol: float | None) -> list[JacobiViolation]:
+def _scan_sine(tensor: SineNambuTensor, tol: float | None) -> ViolationTable:
     grid = tensor.grid
     n = grid.n
     t = _pair_tables(n)
@@ -773,59 +836,39 @@ def _scan_sine(tensor: SineNambuTensor, workers: int, tol: float | None) -> list
     pair_val = npair[rows, cols]
     n_pairs = len(pair_i)
 
-    def scan_slab(lo: int, hi: int) -> list[tuple[int, int, float]]:
-        hits: list[tuple[int, int, float]] = []
-        chunk = max(1, min(hi - lo, 1_000_000 // max(n_pairs, 1)))
-        for start in range(lo, hi, chunk):
-            stop = min(start + chunk, hi)
-            sl = slice(start, stop)
-            k_c = pair_k[sl][:, None]
-            val_c = pair_val[sl][:, None]
-            t1 = val_c * pair_val[None, :]
-            # second summand: q must equal k, and p must close (l, k)
-            nlk = npair[pair_i[None, :], k_c]
-            mask2 = (pair_k[None, :] == k_c) & (trip[pair_i[None, :], k_c] == pair_j[None, :])
-            t2 = np.where(mask2, val_c * nlk, 0.0)
-            # third summand: p must equal k, and k must close (l, q)
-            nlq = npair[pair_i, pair_k][None, :]
-            mask3 = (pair_j[None, :] == k_c) & (trip[pair_i, pair_k][None, :] == k_c)
-            t3 = np.where(mask3, val_c * nlq, 0.0)
-            residual = t1 + t2 + t3
-            hit_rows, hit_cols = np.nonzero(np.abs(residual) > tol)
-            for r, c in zip(hit_rows, hit_cols):
-                hits.append((start + r, int(c), float(residual[r, c])))
-        return hits
+    first, second, residuals = [], [], []
+    chunk = max(1, 1_000_000 // max(n_pairs, 1))
+    for start in range(0, n_pairs, chunk):
+        sl = slice(start, start + chunk)
+        k_c = pair_k[sl][:, None]
+        val_c = pair_val[sl][:, None]
+        t1 = val_c * pair_val[None, :]
+        # second summand: q must equal k, and p must close (l, k)
+        nlk = npair[pair_i[None, :], k_c]
+        mask2 = (pair_k[None, :] == k_c) & (trip[pair_i[None, :], k_c] == pair_j[None, :])
+        t2 = np.where(mask2, val_c * nlk, 0.0)
+        # third summand: p must equal k, and k must close (l, q)
+        nlq = npair[pair_i, pair_k][None, :]
+        mask3 = (pair_j[None, :] == k_c) & (trip[pair_i, pair_k][None, :] == k_c)
+        t3 = np.where(mask3, val_c * nlq, 0.0)
+        residual = t1 + t2 + t3
+        hit_rows, hit_cols = np.nonzero(np.abs(residual) > tol)
+        first.append((start + hit_rows).astype(np.int32))
+        second.append(hit_cols.astype(np.int32))
+        residuals.append(residual[hit_rows, hit_cols])
 
-    if workers <= 1 or n_pairs == 0:
-        all_hits = scan_slab(0, n_pairs)
-    else:
-        bounds = np.linspace(0, n_pairs, workers + 1).astype(int)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(scan_slab, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            all_hits = [hit for f in futures for hit in f.result()]
-
-    vecs = _vector_objects(n)
-    violations = []
-    for ij, lp, residual in all_hits:
-        members = (
-            vecs[pair_i[ij]],
-            vecs[pair_j[ij]],
-            vecs[pair_k[ij]],
-            vecs[pair_i[lp]],
-            vecs[pair_j[lp]],
-            vecs[pair_k[lp]],
-        )
-        violations.append(JacobiViolation(members, residual))
-    return violations
+    return ViolationTable(
+        _vector_objects(n),
+        np.stack([pair_i, pair_j, pair_k], axis=1),
+        np.concatenate(first),
+        np.concatenate(second),
+        np.concatenate(residuals),
+    )
 
 
 def _scan_continuum(
     tensor: ContinuumNambuTensor, bound: int, tol: float | None
-) -> list[JacobiViolation]:
+) -> ViolationTable:
     if bound < 1:
         raise ValueError("bound must be at least 1")
     vectors = [
@@ -845,16 +888,19 @@ def _scan_continuum(
                 continue
             pairs.append((i, j, -(i + j)))
 
-    violations = []
-    for i, j, k in pairs:
-        for l, p, q in pairs:
+    hits = []
+    for a, (i, j, k) in enumerate(pairs):
+        for b, (l, p, q) in enumerate(pairs):
             residual = gen_jacobi_residual(tensor, i, j, k, l, p, q)
             if abs(residual) > tol:
-                violations.append(JacobiViolation((i, j, k, l, p, q), residual))
-    return violations
+                hits.append((a, b, residual))
+    codes: dict[WaveVector, int] = {}
+    triples = [[codes.setdefault(v, len(codes)) for v in pair] for pair in pairs]
+    first, second, residuals = zip(*hits) if hits else ((), (), ())
+    return ViolationTable(list(codes), triples, first, second, residuals)
 
 
-def _scan_dense(tensor: DenseNambuTensor, tol: float | None) -> list[JacobiViolation]:
+def _scan_dense(tensor: DenseNambuTensor, tol: float | None) -> ViolationTable:
     d = tensor.dim
     if d > 12:
         raise ValueError(f"dense scan is limited to dimension 12, got {d}")
@@ -865,8 +911,7 @@ def _scan_dense(tensor: DenseNambuTensor, tol: float | None) -> list[JacobiViola
         np.einsum("ijk,lpq->ijklpq", arr, arr)
         + np.einsum("ijq,lkp->ijklpq", arr, arr)
         + np.einsum("ijp,lqk->ijklpq", arr, arr)
-    )
-    hits = np.argwhere(np.abs(total) > tol)
-    return [
-        JacobiViolation(tuple(int(x) for x in idx), float(total[tuple(idx)])) for idx in hits
-    ]
+    ).reshape(d**3, d**3)
+    first, second = np.nonzero(np.abs(total) > tol)
+    triples = np.indices((d, d, d)).reshape(3, -1).T
+    return ViolationTable(range(d), triples, first, second, total[first, second])

@@ -303,7 +303,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 def cmd_jacobi_scan(args: argparse.Namespace) -> int:
     try:
-        report, violations = run_jacobi_scan(args.n, workers=args.workers)
+        report, violations = run_jacobi_scan(args.n)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -362,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("jacobi-scan", help="exhaustive generalized-Jacobi scan")
     p_scan.add_argument("--n", type=int, required=True, help="truncation size (5 or 7)")
     p_scan.add_argument("--out", default=".", help="output directory")
-    p_scan.add_argument("--workers", type=int, default=1)
     p_scan.set_defaults(handler=cmd_jacobi_scan)
 
     return parser

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebra import JacobiViolation
+from .algebra import ViolationTable
 from .dynamics import DiagnosticsRecord
 from .errors import ValidationError
 from .grid import ModeField, build_grid
@@ -127,16 +127,32 @@ def load_diagnostics(path) -> list[DiagnosticsRecord]:
         ]
 
 
-def save_violations(path, violations: Sequence[JacobiViolation]) -> None:
-    """Flat index-tuple rows; order follows the scan's enumeration."""
+#: Rows joined into one string per write in :func:`save_violations`.
+_VIOLATION_BLOCK = 1 << 16
+
+
+def save_violations(path, violations: ViolationTable) -> None:
+    """Flat index-tuple rows; order follows the scan's enumeration.
+
+    Each triple's text ``"c1,...,c6,"`` and each distinct residual's
+    ``repr`` are built once; rows are joined from them block by block.
+    """
+    members = np.asarray(violations.members, dtype=np.int64)
+    if members.ndim != 2 or members.shape[1] != 2:
+        raise ValueError("the violation CSV holds wave-vector tuples, not plain basis labels")
+    member_text = ["".join(f"{c}," for c in row) for row in members.tolist()]
+    prefix = np.array(
+        ["".join(member_text[c] for c in t) for t in violations.triples.tolist()], dtype=object
+    )
+    values, which = np.unique(violations.residual, return_inverse=True)
+    suffix = np.array([repr(x) + "\n" for x in values.tolist()], dtype=object)
+    first, second = violations.first, violations.second
     with _open_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(VIOLATIONS_HEADER)
-        for v in violations:
-            flat: list = []
-            for vec in v.indices:
-                flat.extend(int(c) for c in vec)
-            writer.writerow(flat + [repr(float(v.residual))])
+        fh.write(",".join(VIOLATIONS_HEADER) + "\n")
+        for start in range(0, len(violations), _VIOLATION_BLOCK):
+            block = slice(start, start + _VIOLATION_BLOCK)
+            rows = prefix[first[block]] + prefix[second[block]] + suffix[which[block]]
+            fh.write("".join(rows.tolist()))
 
 
 def load_generic_constants(path) -> np.ndarray:

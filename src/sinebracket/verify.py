@@ -20,8 +20,8 @@ from .algebra import (
     KNOWN_JACOBI_VIOLATION,
     ClosedKillingForm,
     ContinuumNambuTensor,
-    JacobiViolation,
     SineNambuTensor,
+    ViolationTable,
     ZeitlinConstants,
     _bilinear_with_scale,
     _lie_poisson_matrix,
@@ -455,7 +455,7 @@ def run_convergence_study(
     return _report("alpha-convergence", params, residual, 0.2, started)
 
 
-def run_jacobi_scan(n: int, workers: int = 1) -> tuple[CheckReport, list[JacobiViolation]]:
+def run_jacobi_scan(n: int) -> tuple[CheckReport, ViolationTable]:
     """Exhaustive violation scan of the generalized Jacobi identity.
 
     Enumerates every tuple whose delta factors close, deduplicates under
@@ -467,21 +467,17 @@ def run_jacobi_scan(n: int, workers: int = 1) -> tuple[CheckReport, list[JacobiV
         raise ValueError(f"exhaustive scan is sized for n in {{5, 7}}, got {n}")
     started = time.perf_counter()
     grid = build_grid(n)
-    violations = scan_gen_jacobi(SineNambuTensor(grid), workers=workers)
+    violations = scan_gen_jacobi(SineNambuTensor(grid))
     deduped = dedupe_violations(violations)
     expected = gen_jacobi_residual_known(n)
-    measured = None
-    for v in violations:
-        if v.indices == KNOWN_JACOBI_VIOLATION:
-            measured = v.residual
-            break
-    if violations and measured is not None:
-        residual = abs(measured - expected) / abs(expected)
+    row = violations.find(KNOWN_JACOBI_VIOLATION)
+    if row is None:
+        measured, residual = None, math.inf
     else:
-        residual = math.inf
+        measured = float(violations.residual[row])
+        residual = abs(measured - expected) / abs(expected)
     params = {
         "n": n,
-        "workers": workers,
         "violations_raw": len(violations),
         "violations_deduplicated": len(deduped),
         "known_tuple_residual": measured,

@@ -19,7 +19,9 @@ from sinebracket.algebra import (
     DenseNambuTensor,
     GenericConstants,
     SineNambuTensor,
+    ViolationTable,
     ZeitlinConstants,
+    _violation_orbit,
     alpha_continuum,
     alpha_zeitlin,
     construct_generic,
@@ -418,9 +420,50 @@ def test_scan_deduplication_symmetry_factor(scan5):
     assert len(scan5) % len(deduped) == 0
 
 
-def test_scan_workers_agree(scan5):
-    par = scan_gen_jacobi(SineNambuTensor(build_grid(5)), workers=4)
-    assert par == scan5
+def test_scan_table_reads_as_violations(scan5):
+    head = scan5[:50]
+    assert isinstance(head, ViolationTable) and len(head) == 50
+    assert list(head) == [scan5[r] for r in range(50)]
+    assert scan5[-1] == list(scan5)[-1]
+    row = scan5.find(KNOWN_JACOBI_VIOLATION)
+    assert scan5[row].indices == KNOWN_JACOBI_VIOLATION
+    assert head.find(KNOWN_JACOBI_VIOLATION) == (row if row < 50 else None)
+    assert scan5.find((KNOWN_JACOBI_VIOLATION[0],) * 6) is None
+
+
+def _reference_dedupe(violations):
+    """Per-tuple oracle: the first row of each orbit, keyed by its smallest flattened image."""
+
+    def flatten(members):
+        return tuple(c for m in members for c in np.atleast_1d(m).tolist())
+
+    seen, kept = set(), []
+    for v in violations:
+        key = min(flatten(image) for image in _violation_orbit(v.indices))
+        if key not in seen:
+            seen.add(key)
+            kept.append(v)
+    return kept
+
+
+def test_dedupe_matches_per_tuple_oracle(scan5):
+    head = scan5[:20000]
+    assert list(dedupe_violations(head)) == _reference_dedupe(head)
+    su2 = scan_gen_jacobi(construct_generic(_levi_civita()).nambu)
+    assert len(su2) == 36
+    assert list(dedupe_violations(su2)) == _reference_dedupe(su2)
+
+
+def test_dedupe_packing_edge_and_overflow():
+    # (i, j, k, l, p, q) and its (j, i) swap share one orbit; with 1448
+    # members the largest key is 1448**6 - 1, which still fits an int64
+    top = 1447
+    table = ViolationTable(
+        range(1448), [[top, top - 1, top - 2], [top - 1, top, top - 2]], [0, 1], [0, 0], [1.0, -1.0]
+    )
+    assert list(dedupe_violations(table)) == [table[0]]
+    with pytest.raises(ValueError):
+        dedupe_violations(ViolationTable(range(1449), [[0, 1, 2]], [0], [0], [1.0]))
 
 
 def test_scan_continuum_needs_bound():

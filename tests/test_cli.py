@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -281,7 +282,7 @@ def test_converge_usage_errors(tmp_path, capsys):
 
 
 def test_jacobi_scan_writes_violations(tmp_path, capsys):
-    code = main(["jacobi-scan", "--n", "5", "--out", str(tmp_path), "--workers", "2"])
+    code = main(["jacobi-scan", "--n", "5", "--out", str(tmp_path)])
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "211200 violating tuples" in out
@@ -291,6 +292,11 @@ def test_jacobi_scan_writes_violations(tmp_path, capsys):
     assert table.exists() and (tmp_path / "jacobi_violations_n5.csv.meta.json").exists()
     with open(table, newline="") as fh:
         assert sum(1 for _ in fh) == 211201
+    data = table.read_bytes()
+    assert len(data) == 11_035_245
+    assert hashlib.sha256(data).hexdigest() == (
+        "771c4ae77985be9b7d861b85be36cfb00e69b8c07948a3fde24ff600804396f0"
+    )
 
 
 def test_jacobi_scan_rejects_large_n(tmp_path, capsys):

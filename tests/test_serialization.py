@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sinebracket
-from sinebracket.algebra import scan_gen_jacobi, SineNambuTensor
+from sinebracket.algebra import DenseNambuTensor, SineNambuTensor, scan_gen_jacobi
 from sinebracket.dynamics import DiagnosticsRecord, random_shell_field
 from sinebracket.errors import ValidationError
 from sinebracket.grid import build_grid
@@ -141,6 +141,9 @@ def test_violations_csv_layout(tmp_path):
     flat = [c for vec in first.indices for c in vec]
     assert [int(x) for x in rows[1][:12]] == flat
     assert float(rows[1][12]) == first.residual
+    dense = scan_gen_jacobi(DenseNambuTensor(np.zeros((2, 2, 2))))
+    with pytest.raises(ValueError):
+        save_violations(path, dense)
 
 
 def test_load_generic_constants_sparse_to_dense(tmp_path):

@@ -195,14 +195,6 @@ def test_jacobi_scan_report():
     )
 
 
-def test_jacobi_scan_workers_match():
-    solo, v1 = run_jacobi_scan(5, workers=1)
-    multi, v2 = run_jacobi_scan(5, workers=3)
-    assert v1 == v2
-    assert solo.params["violations_raw"] == multi.params["violations_raw"]
-    assert solo.max_residual == multi.max_residual
-
-
 def test_jacobi_scan_rejects_other_sizes():
     for bad in (3, 9, 4):
         with pytest.raises(ValueError):

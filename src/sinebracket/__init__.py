@@ -97,4 +97,7 @@ from .serialization import (
     write_metadata,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+# The names imported above, without the submodules those imports bind.
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _ModuleType)]

@@ -23,7 +23,9 @@ enstrophy as second conserved slot (Nambu 1973; the construction follows
 Bialynicki-Birula and Morrison 1991).  The trilinear bracket satisfies the
 Leibniz rule but not the generalized (fundamental) Jacobi identity;
 :func:`gen_jacobi_residual` and :func:`scan_gen_jacobi` quantify exactly
-how it fails.
+how it fails.  The truncated and the untruncated tensor are both supported
+on closing triples (i + j + k = 0, modulo n on the truncation) and differ
+only in the coefficient, so one closing-triple kernel scans both.
 
 Sine and cosine values are read from reflected tables indexed by integer
 arguments modulo n, so all antisymmetry and wrap cancellations hold
@@ -213,7 +215,7 @@ class GenericConstants:
     Antisymmetry in the lower index pair is validated on construction.
     """
 
-    def __init__(self, alpha: np.ndarray, antisymmetry_tol: float = 1e-12):
+    def __init__(self, alpha: np.ndarray):
         alpha = np.asarray(alpha, dtype=np.float64)
         if alpha.ndim != 3 or len(set(alpha.shape)) != 1:
             raise ValueError(f"structure constants must be a cubic array, got shape {alpha.shape}")
@@ -222,7 +224,7 @@ class GenericConstants:
                 f"dimension {alpha.shape[0]} exceeds the generic cap {GENERIC_DIMENSION_CAP}"
             )
         residual = dense_antisymmetry_residual(alpha)
-        if residual > antisymmetry_tol:
+        if residual > 1e-12:
             raise ValidationError(
                 f"structure constants are not antisymmetric: relative residual {residual:.3e}"
             )
@@ -306,20 +308,26 @@ def killing_closed(grid: TruncationGrid, i, j) -> float:
     return killing_diagonal(grid.n)
 
 
-def orthogonality_check(grid: TruncationGrid, l, tol: float = 1e-11) -> float:
-    """sum_k cos((2pi/n) k.l) over the retained set, checked exactly.
-
-    Equals n^2 - 1 when l wraps to the origin modulo n and -1 otherwise;
-    this discrete orthogonality is what collapses the Killing double sum.
-    Deviations beyond ``tol`` (absolute) raise :class:`ConsistencyError`.
-    """
+def _orthogonality_sum(grid: TruncationGrid, l) -> tuple[float, float]:
+    """sum_k cos((2pi/n) k.l) over the retained set, and the value it must equal."""
     l = _as_wave_vector(l)
     v = grid.vectors
     dots = (v[:, 0] * l.i1 + v[:, 1] * l.i2) % grid.n
     total = float(np.sum(cosine_table(grid.n)[dots]))
     wraps_to_zero = l.i1 % grid.n == 0 and l.i2 % grid.n == 0
-    expected = float(grid.n**2 - 1) if wraps_to_zero else -1.0
-    if abs(total - expected) > tol:
+    return total, float(grid.n**2 - 1) if wraps_to_zero else -1.0
+
+
+def orthogonality_check(grid: TruncationGrid, l) -> float:
+    """sum_k cos((2pi/n) k.l) over the retained set, checked exactly.
+
+    Equals n^2 - 1 when l wraps to the origin modulo n and -1 otherwise;
+    this discrete orthogonality is what collapses the Killing double sum.
+    An absolute deviation beyond 1e-11 raises :class:`ConsistencyError`.
+    """
+    l = _as_wave_vector(l)
+    total, expected = _orthogonality_sum(grid, l)
+    if abs(total - expected) > 1e-11:
         raise ConsistencyError(
             f"mode orthogonality violated at l={tuple(l)}: sum {total!r}, expected {expected!r}"
         )
@@ -348,12 +356,12 @@ class ClosedKillingForm:
 class DenseKillingForm:
     """Killing matrix of a generic algebra with a validated inverse."""
 
-    def __init__(self, matrix: np.ndarray, symmetry_tol: float = 1e-12):
+    def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"Killing matrix must be square, got shape {matrix.shape}")
         scale = np.max(np.abs(matrix))
-        if scale > 0 and np.max(np.abs(matrix - matrix.T)) > symmetry_tol * scale:
+        if scale > 0 and np.max(np.abs(matrix - matrix.T)) > 1e-12 * scale:
             raise ValidationError("Killing matrix is not symmetric")
         self.matrix = matrix
         self.inverse = self._invert()
@@ -377,12 +385,12 @@ class DenseKillingForm:
         return float(self.inverse[i, j])
 
 
-def quadratic_casimir(grid: TruncationGrid, field: ModeField, tol: float = 1e-12) -> float:
+def quadratic_casimir(grid: TruncationGrid, field: ModeField) -> float:
     """r/2 * sum_ij K^{ij} zeta_i zeta_j, cross-checked against the enstrophy.
 
     The inverse Killing pairing collapses onto j = -i, and the prefactors
     combine to (2pi)^2/2, so the scaled Casimir must reproduce the
-    enstrophy to rounding.  A mismatch beyond ``tol`` (relative) raises
+    enstrophy to rounding.  A relative mismatch beyond 1e-12 raises
     :class:`ConsistencyError`; the Casimir value is returned.
     """
     validate_reality(field)
@@ -396,7 +404,7 @@ def quadratic_casimir(grid: TruncationGrid, field: ModeField, tol: float = 1e-12
         raise ConsistencyError("quadratic Casimir acquired an imaginary part")
     casimir = float(value.real)
     reference = enstrophy(field)
-    if abs(casimir - reference) > tol * max(abs(reference), 1e-300):
+    if abs(casimir - reference) > 1e-12 * max(abs(reference), 1e-300):
         raise ConsistencyError(
             f"scaled quadratic Casimir {casimir!r} does not match the enstrophy {reference!r}"
         )
@@ -446,12 +454,12 @@ class ContinuumNambuTensor:
 class DenseNambuTensor:
     """Dense trilinear tensor of a generic algebra, validated antisymmetric."""
 
-    def __init__(self, array: np.ndarray, antisymmetry_tol: float = 1e-12):
+    def __init__(self, array: np.ndarray):
         array = np.asarray(array, dtype=np.float64)
         if array.ndim != 3 or len(set(array.shape)) != 1:
             raise ValueError(f"Nambu tensor must be a cubic array, got shape {array.shape}")
         residual = dense_total_antisymmetry_residual(array)
-        if residual > antisymmetry_tol:
+        if residual > 1e-12:
             raise ValidationError(
                 f"Nambu tensor is not totally antisymmetric: relative residual {residual:.3e}"
             )
@@ -507,9 +515,7 @@ class GenericAlgebra:
 
 
 def construct_generic(
-    constants: GenericConstants | np.ndarray,
-    scaling: float = 1.0,
-    jacobi_tol: float = 1e-12,
+    constants: GenericConstants | np.ndarray, scaling: float = 1.0
 ) -> GenericAlgebra:
     """Run the algebraic pipeline on dense constants of a finite algebra.
 
@@ -525,7 +531,7 @@ def construct_generic(
     if scaling == 0.0:
         raise ValueError("scaling must be nonzero")
     jacobi = dense_jacobi_residual(constants.alpha)
-    if jacobi > jacobi_tol:
+    if jacobi > 1e-12:
         raise ValidationError(
             f"structure constants violate the Jacobi identity: relative residual {jacobi:.3e}"
         )
@@ -571,21 +577,17 @@ def lie_poisson_bracket_complex(
 
 
 def lie_poisson_bracket(
-    grid: TruncationGrid,
-    field: ModeField,
-    f1: Functional,
-    f2: Functional,
-    residue_tol: float = 1e-10,
+    grid: TruncationGrid, field: ModeField, f1: Functional, f2: Functional
 ) -> float:
     """{F1, F2} = sum alpha_ij^k zeta_k dF1/dzeta_i dF2/dzeta_j as a real number.
 
     For real-valued functionals on a conjugate-symmetric field the bracket
-    is real; an imaginary residue beyond ``residue_tol`` relative to the
-    cancellation scale of the sum raises :class:`ValidationError`.
+    is real; an imaginary residue beyond 1e-10 relative to the cancellation
+    scale of the sum raises :class:`ValidationError`.
     """
     matrix = _lie_poisson_matrix(grid, field)
     value, scale = _bilinear_with_scale(matrix, f1.gradient(field), f2.gradient(field))
-    if abs(value.imag) > residue_tol * max(scale, 1e-300):
+    if abs(value.imag) > 1e-10 * max(scale, 1e-300):
         raise ValidationError(
             f"Lie-Poisson bracket of {f1.name!r} and {f2.name!r} is not real: "
             f"imaginary part {value.imag:.3e} at scale {scale:.3e}"
@@ -606,7 +608,6 @@ def nambu_bracket(
     f2: Functional,
     f3: Functional,
     field: ModeField,
-    residue_tol: float = 1e-10,
 ) -> float:
     """{F1, F2, F3} = N_ijk dF1_i dF2_j dF3_k on the truncation."""
     if not isinstance(tensor, SineNambuTensor):
@@ -617,7 +618,7 @@ def nambu_bracket(
     grid = tensor.grid
     matrix = _nambu_matrix(grid, f3.gradient(field))
     value, scale = _bilinear_with_scale(matrix, f1.gradient(field), f2.gradient(field))
-    if abs(value.imag) > residue_tol * max(scale, 1e-300):
+    if abs(value.imag) > 1e-10 * max(scale, 1e-300):
         raise ValidationError(
             f"Nambu bracket of {f1.name!r}, {f2.name!r}, {f3.name!r} is not real: "
             f"imaginary part {value.imag:.3e} at scale {scale:.3e}"
@@ -742,12 +743,6 @@ class ViolationTable(Sequence):
         return int(rows[0]) if rows.size else None
 
 
-@functools.lru_cache(maxsize=None)
-def _vector_objects(n: int) -> tuple[WaveVector, ...]:
-    grid = TruncationGrid(n)
-    return tuple(WaveVector(int(a), int(b)) for a, b in grid.vectors)
-
-
 def _violation_orbit(indices: tuple) -> list[tuple]:
     """All 12 index tuples carrying the same residual up to sign.
 
@@ -792,11 +787,7 @@ def dedupe_violations(violations: ViolationTable) -> ViolationTable:
     return violations[np.sort(kept)]
 
 
-def scan_gen_jacobi(
-    tensor: _AnyNambuTensor,
-    bound: int | None = None,
-    tol: float | None = None,
-) -> ViolationTable:
+def scan_gen_jacobi(tensor: _AnyNambuTensor, bound: int | None = None) -> ViolationTable:
     """Find all violations of the generalized Jacobi identity.
 
     The scan enumerates tuples whose first summand has both delta factors
@@ -805,51 +796,80 @@ def scan_gen_jacobi(
     summand, which a cyclic relabel moves into first position.  The
     result is therefore complete up to that equivalence.
 
-    A tuple is reported when |residual| > tol; the default threshold is
+    The truncated and the untruncated tensor are both supported on closing
+    triples and share one kernel, :func:`_scan_closing`; a dense tensor is
+    scanned over all d^6 tuples.  A tuple is reported when |residual| >
     1e-10 * (max |N|)^2.  ``bound`` limits the free wave-vector components
-    for the untruncated tensor (required there, ignored otherwise).  Hits
-    come back as a :class:`ViolationTable` in enumeration order.
+    of the untruncated tensor; it is required there and refused otherwise.
+    Hits come back as a :class:`ViolationTable` in enumeration order.
     """
-    if isinstance(tensor, SineNambuTensor):
-        return _scan_sine(tensor, tol=tol)
     if isinstance(tensor, ContinuumNambuTensor):
         if bound is None:
             raise ValueError("the untruncated scan needs a bound on the free components")
-        return _scan_continuum(tensor, bound=bound, tol=tol)
+        return _scan_closing(*_continuum_tables(bound))
+    if bound is not None:
+        raise ValueError("bound applies only to the untruncated tensor")
+    if isinstance(tensor, SineNambuTensor):
+        n = tensor.grid.n
+        t = _pair_tables(n)
+        value = nambu_prefactor(n) * t.sin_cross
+        pairs = (t.neg_wrap_index >= 0) & (value != 0.0)
+        return _scan_closing(tuple(tensor.grid), value, t.neg_wrap_index, pairs)
     if isinstance(tensor, DenseNambuTensor):
-        return _scan_dense(tensor, tol=tol)
+        return _scan_dense(tensor)
     raise TypeError(f"cannot scan tensor of type {type(tensor).__name__}")
 
 
-def _scan_sine(tensor: SineNambuTensor, tol: float | None) -> ViolationTable:
-    grid = tensor.grid
-    n = grid.n
-    t = _pair_tables(n)
-    npair = nambu_prefactor(n) * t.sin_cross
-    trip = t.neg_wrap_index  # the unique third index closing each pair
-    if tol is None:
-        tol = 1e-10 * (abs(nambu_prefactor(n)) * float(np.max(sine_table(n)))) ** 2
+def _continuum_tables(bound: int) -> tuple:
+    """:func:`_scan_closing` inputs of the untruncated tensor on the box |i|, |j| <= bound.
 
-    rows, cols = np.nonzero((trip >= 0) & (npair != 0.0))
-    pair_i, pair_j = rows, cols
-    pair_k = trip[rows, cols]
-    pair_val = npair[rows, cols]
+    The members are the retained vectors of the n = 4*bound + 1 grid, which
+    holds the closing vector -(i+j) of every pair of box vectors.
+    """
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
+    grid = TruncationGrid(4 * bound + 1)
+    v, m = grid.vectors, grid.half
+    cross = np.outer(v[:, 0], v[:, 1]) - np.outer(v[:, 1], v[:, 0])
+    # -(i+j) has components in [-2m, 2m]; off the grid it closes on no member
+    padded = np.pad(grid.offset_table, m, constant_values=-1)
+    close = padded[2 * m - v[:, 0][:, None] - v[:, 0], 2 * m - v[:, 1][:, None] - v[:, 1]]
+    box = np.all(np.abs(v) <= bound, axis=1)
+    pairs = np.outer(box, box) & (cross != 0)
+    return tuple(grid), -cross / TWO_PI**4, close, pairs
+
+
+def _scan_closing(
+    members: Sequence, value: np.ndarray, close: np.ndarray, pairs: np.ndarray
+) -> ViolationTable:
+    """Scan a tensor that is supported on closing triples.
+
+    Over the (M, M) member table, ``value[a, b]`` is N(m_a, m_b, m_c) and
+    ``close[a, b]`` is the code c of the member closing (m_a, m_b), or -1.
+    The triples (a, b, close[a, b]) for the True entries of ``pairs``, in
+    row-major order, are paired with each other, and a tuple is a hit when
+    |residual| > 1e-10 * (max |value| over ``pairs``)^2.
+    """
+    pair_i, pair_j = np.nonzero(pairs)
+    pair_k = close[pair_i, pair_j]
+    pair_val = value[pair_i, pair_j]
     n_pairs = len(pair_i)
+    tol = 1e-10 * float(np.max(np.abs(pair_val))) ** 2
 
     first, second, residuals = [], [], []
-    chunk = max(1, 1_000_000 // max(n_pairs, 1))
+    chunk = max(1, 1_000_000 // n_pairs)
     for start in range(0, n_pairs, chunk):
         sl = slice(start, start + chunk)
         k_c = pair_k[sl][:, None]
         val_c = pair_val[sl][:, None]
         t1 = val_c * pair_val[None, :]
         # second summand: q must equal k, and p must close (l, k)
-        nlk = npair[pair_i[None, :], k_c]
-        mask2 = (pair_k[None, :] == k_c) & (trip[pair_i[None, :], k_c] == pair_j[None, :])
+        nlk = value[pair_i[None, :], k_c]
+        mask2 = (pair_k[None, :] == k_c) & (close[pair_i[None, :], k_c] == pair_j[None, :])
         t2 = np.where(mask2, val_c * nlk, 0.0)
         # third summand: p must equal k, and k must close (l, q)
-        nlq = npair[pair_i, pair_k][None, :]
-        mask3 = (pair_j[None, :] == k_c) & (trip[pair_i, pair_k][None, :] == k_c)
+        nlq = value[pair_i, pair_k][None, :]
+        mask3 = (pair_j[None, :] == k_c) & (close[pair_i, pair_k][None, :] == k_c)
         t3 = np.where(mask3, val_c * nlq, 0.0)
         residual = t1 + t2 + t3
         hit_rows, hit_cols = np.nonzero(np.abs(residual) > tol)
@@ -858,7 +878,7 @@ def _scan_sine(tensor: SineNambuTensor, tol: float | None) -> ViolationTable:
         residuals.append(residual[hit_rows, hit_cols])
 
     return ViolationTable(
-        _vector_objects(n),
+        members,
         np.stack([pair_i, pair_j, pair_k], axis=1),
         np.concatenate(first),
         np.concatenate(second),
@@ -866,47 +886,12 @@ def _scan_sine(tensor: SineNambuTensor, tol: float | None) -> ViolationTable:
     )
 
 
-def _scan_continuum(
-    tensor: ContinuumNambuTensor, bound: int, tol: float | None
-) -> ViolationTable:
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
-    vectors = [
-        WaveVector(a, b)
-        for a in range(-bound, bound + 1)
-        for b in range(-bound, bound + 1)
-        if (a, b) != (0, 0)
-    ]
-    max_entry = max(abs(i.cross(j)) for i in vectors for j in vectors) / TWO_PI**4
-    if tol is None:
-        tol = 1e-10 * max_entry**2
-
-    pairs = []
-    for i in vectors:
-        for j in vectors:
-            if i.cross(j) == 0 or i + j == (0, 0):
-                continue
-            pairs.append((i, j, -(i + j)))
-
-    hits = []
-    for a, (i, j, k) in enumerate(pairs):
-        for b, (l, p, q) in enumerate(pairs):
-            residual = gen_jacobi_residual(tensor, i, j, k, l, p, q)
-            if abs(residual) > tol:
-                hits.append((a, b, residual))
-    codes: dict[WaveVector, int] = {}
-    triples = [[codes.setdefault(v, len(codes)) for v in pair] for pair in pairs]
-    first, second, residuals = zip(*hits) if hits else ((), (), ())
-    return ViolationTable(list(codes), triples, first, second, residuals)
-
-
-def _scan_dense(tensor: DenseNambuTensor, tol: float | None) -> ViolationTable:
+def _scan_dense(tensor: DenseNambuTensor) -> ViolationTable:
     d = tensor.dim
     if d > 12:
         raise ValueError(f"dense scan is limited to dimension 12, got {d}")
     arr = tensor.array
-    if tol is None:
-        tol = 1e-10 * float(np.max(np.abs(arr))) ** 2
+    tol = 1e-10 * float(np.max(np.abs(arr))) ** 2
     total = (
         np.einsum("ijk,lpq->ijklpq", arr, arr)
         + np.einsum("ijq,lkp->ijklpq", arr, arr)

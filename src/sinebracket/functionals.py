@@ -150,23 +150,18 @@ def coordinate_functional(grid: TruncationGrid, v) -> Functional:
     )
 
 
-def random_real_polynomial(
-    grid: TruncationGrid,
-    rng: np.random.Generator,
-    n_terms: int = 3,
-    max_degree: int = 3,
-    coord_bound: int = 2,
-) -> ModePolynomial:
+def random_real_polynomial(grid: TruncationGrid, rng: np.random.Generator) -> ModePolynomial:
     """Random polynomial observable, real-valued on reality fields.
 
-    Monomials draw wave vectors with components in [-b, b], b = min(
-    coord_bound, (n-1)/2), and complex Gaussian coefficients; the mirror of
-    every monomial is appended.  Deterministic for a given generator state.
+    Three monomials of degree 1 to 3 draw wave vectors with components in
+    [-b, b], b = min(2, (n-1)/2), and complex Gaussian coefficients; the
+    mirror of every monomial is appended.  Deterministic for a given
+    generator state.
     """
-    b = min(coord_bound, grid.half)
+    b = min(2, grid.half)
     terms = []
-    for _ in range(n_terms):
-        degree = int(rng.integers(1, max_degree + 1))
+    for _ in range(3):
+        degree = int(rng.integers(1, 4))
         vs = []
         while len(vs) < degree:
             cand = WaveVector(int(rng.integers(-b, b + 1)), int(rng.integers(-b, b + 1)))

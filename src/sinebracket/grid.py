@@ -208,17 +208,12 @@ class ModeField:
         return cls(grid)
 
     @classmethod
-    def from_modes(
-        cls,
-        grid: TruncationGrid,
-        modes: Mapping,
-        symmetrize: bool = True,
-    ) -> "ModeField":
+    def from_modes(cls, grid: TruncationGrid, modes: Mapping) -> "ModeField":
         """Build a field from a {wave vector: coefficient} mapping.
 
-        With ``symmetrize`` (default) every assignment also sets the mirror
-        coefficient conj(c) at -k unless the mapping provides it explicitly,
-        so the result satisfies the reality condition by construction.
+        Every assignment also sets the mirror coefficient conj(c) at -k
+        unless the mapping provides it explicitly, so the result satisfies
+        the reality condition by construction.
         """
         out = cls.zeros(grid)
         explicit = {grid.index_of(v) for v in modes}
@@ -226,7 +221,7 @@ class ModeField:
             idx = grid.index_of(v)
             out.coeffs[idx] = c
             mirror = grid.neg_index[idx]
-            if symmetrize and mirror not in explicit:
+            if mirror not in explicit:
                 out.coeffs[mirror] = np.conj(c)
         return out
 

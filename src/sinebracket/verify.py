@@ -27,10 +27,10 @@ from .algebra import (
     _lie_poisson_matrix,
     _masked_gather,
     _nambu_matrix,
+    _orthogonality_sum,
     _pair_tables,
     alpha_continuum,
     alpha_zeitlin,
-    cosine_table,
     dedupe_violations,
     dense_antisymmetry_residual,
     dense_jacobi_residual,
@@ -151,17 +151,9 @@ def _orthogonality_residual(grid: TruncationGrid) -> float:
     sum must jump from -1 to n^2 - 1.
     """
     n = grid.n
-    cos = cosine_table(n)
-    v = grid.vectors
-    worst = 0.0
-    witnesses = [tuple(x) for x in v] + [(0, 0), (n, 0), (0, n), (n, n)]
-    for l in witnesses:
-        dots = (v[:, 0] * l[0] + v[:, 1] * l[1]) % n
-        total = float(np.sum(cos[dots]))
-        wraps = l[0] % n == 0 and l[1] % n == 0
-        expected = float(n * n - 1) if wraps else -1.0
-        worst = max(worst, abs(total - expected))
-    return worst
+    witnesses = [*grid, (0, 0), (n, 0), (0, n), (n, n)]
+    sums = (_orthogonality_sum(grid, l) for l in witnesses)
+    return max(abs(total - expected) for total, expected in sums)
 
 
 def _casimir_residual(grid: TruncationGrid, rng: np.random.Generator) -> float:

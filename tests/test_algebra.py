@@ -452,6 +452,8 @@ def test_dedupe_matches_per_tuple_oracle(scan5):
     su2 = scan_gen_jacobi(construct_generic(_levi_civita()).nambu)
     assert len(su2) == 36
     assert list(dedupe_violations(su2)) == _reference_dedupe(su2)
+    continuum = scan_gen_jacobi(ContinuumNambuTensor(), bound=1)
+    assert list(dedupe_violations(continuum)) == _reference_dedupe(continuum)
 
 
 def test_dedupe_packing_edge_and_overflow():
@@ -469,9 +471,52 @@ def test_dedupe_packing_edge_and_overflow():
 def test_scan_continuum_needs_bound():
     with pytest.raises(ValueError):
         scan_gen_jacobi(ContinuumNambuTensor())
+    # the bound only limits the untruncated scan; elsewhere it is refused
+    with pytest.raises(ValueError, match="bound"):
+        scan_gen_jacobi(SineNambuTensor(build_grid(5)), bound=1)
+    with pytest.raises(ValueError, match="bound"):
+        scan_gen_jacobi(construct_generic(_levi_civita()).nambu, bound=1)
     violations = scan_gen_jacobi(ContinuumNambuTensor(), bound=1)
     assert any(v.indices == KNOWN_JACOBI_VIOLATION for v in violations)
     assert all(abs(v.residual) > 0 for v in violations)
+
+
+def _continuum_scan_oracle(bound):
+    """Every pair of closing box triples, one gen_jacobi_residual call each."""
+    tensor = ContinuumNambuTensor()
+    box = [(a, b) for a in range(-bound, bound + 1) for b in range(-bound, bound + 1)]
+    box = [v for v in box if v != (0, 0)]
+    triples = [
+        (i, j, (-i[0] - j[0], -i[1] - j[1]))
+        for i in box
+        for j in box
+        if i[0] * j[1] - i[1] * j[0] != 0
+    ]
+    max_entry = max(abs(tensor.entry(*t)) for t in triples)
+    hits = []
+    for first in triples:
+        for second in triples:
+            residual = gen_jacobi_residual(tensor, *first, *second)
+            if abs(residual) > 1e-10 * max_entry**2:
+                hits.append((first + second, residual))
+    return hits
+
+
+def test_scan_continuum_matches_per_pair_oracle():
+    scan = scan_gen_jacobi(ContinuumNambuTensor(), bound=1)
+    oracle = _continuum_scan_oracle(1)
+    assert len(scan) == len(oracle) == 2032
+    # same order, same wave vectors, bitwise-equal residuals
+    assert list(scan) == oracle
+
+
+def test_scan_continuum_bound_two_counts():
+    scan = scan_gen_jacobi(ContinuumNambuTensor(), bound=2)
+    assert len(scan) == 236128
+    assert len(dedupe_violations(scan)) == 86888
+    row = scan.find(KNOWN_JACOBI_VIOLATION)
+    assert row is not None
+    assert scan[row].residual == pytest.approx(COUNTEREXAMPLE_T1["continuum"], rel=1e-13)
 
 
 def test_scan_zero_tensor_is_empty():

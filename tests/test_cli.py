@@ -3,10 +3,12 @@
 import csv
 import hashlib
 import json
+import types
 
 import numpy as np
 import pytest
 
+import sinebracket
 from sinebracket.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -320,3 +322,11 @@ def test_check_failure_maps_to_exit_one(tmp_path):
     pairs.write_text("1,0,2,0\n")  # only a collinear pair: nothing to fit
     code = main(["converge", "--pairs", str(pairs), "--n-list", "11,21", "--out", str(tmp_path)])
     assert code == EXIT_CHECK_FAILED
+
+
+def test_package_all_names_public_objects_only():
+    # the import list of the package is the public API; submodules are not part of it
+    assert "scan_gen_jacobi" in sinebracket.__all__ and "algebra" not in sinebracket.__all__
+    for name in sinebracket.__all__:
+        assert hasattr(sinebracket, name), name
+        assert not isinstance(getattr(sinebracket, name), types.ModuleType), name

@@ -14,15 +14,20 @@ side are provided and must agree to rounding:
                                 gradients;
 * :func:`rhs_from_lie_poisson`  {zeta_i, H} mode by mode through the
                                 functional machinery;
-* :func:`rhs_fast`              matrix-commutator form, O(n^3).
+* :func:`rhs_fast`              matrix-commutator form with one matmul,
+                                O(n^3); the production route.
 
 The fast route rewrites the truncated field as an n x n matrix over the
 clock-and-shift basis, where the sine bracket becomes an exact matrix
 commutator (the su(n) realisation of the truncation); the mode <-> matrix
-transforms are per-diagonal FFTs.  The sum defining the tendency couples
-input and output indices through the symplectic phase sin((2pi/n) i x k),
-which cannot be absorbed into index translations, so no plain convolution
-(FFT) evaluation exists; the commutator is the fastest exact form here.
+transforms are per-diagonal FFTs plus one flat gather each.  A real field
+maps to a Hermitian matrix, so the commutator with the stream matrix is a
+product plus its own adjoint: one matmul suffices, and the tendency obeys
+the reality condition bitwise, so steppers keep a real state exactly.  The
+sum defining the tendency couples input and output indices through the
+symplectic phase sin((2pi/n) i x k), which cannot be absorbed into index
+translations, so no plain convolution (FFT) evaluation exists; the
+commutator is the fastest exact form here.
 
 Time stepping offers classical RK4 and the implicit midpoint rule; the
 latter conserves every quadratic invariant (energy, enstrophy) up to the
@@ -44,9 +49,12 @@ from .grid import (
     TWO_PI,
     ModeField,
     TruncationGrid,
+    _energy,
+    _enstrophy,
+    _wrap_index,
     _wrapped,
-    energy,
-    enstrophy,
+    energy,  # noqa: F401  (perfbench/spans.py traces the diagnostics under these names)
+    enstrophy,  # noqa: F401
     validate_reality,
 )
 
@@ -134,7 +142,7 @@ def rhs_from_lie_poisson(grid: TruncationGrid, field: ModeField) -> ModeField:
 
 
 class _WeylTables:
-    """Index and phase tables of the clock-and-shift basis at one n."""
+    """Flat gather indices and phase tables of the clock-and-shift basis at one n."""
 
     def __init__(self, n: int):
         m = (n - 1) // 2
@@ -144,13 +152,23 @@ class _WeylTables:
         # g = diag(lam^a), (h v)_a = v_{a+1}, lam = exp(4i pi/n); the /2 is
         # the mod-n inverse, making the element n-periodic in both indices.
         self.phase = np.exp((4j * np.pi / n) * ((half_inv * np.outer(rows, rows)) % n))
-        self.double = (2 * rows) % n
-        self.diag_cols = (rows[:, None] + rows[None, :]) % n
+        self.conj_phase = np.conj(self.phase)
+        r, c = rows[:, None], rows[None, :]
+        # to-Weyl: matrix[r, j] = spectral[2r mod n, (j - r) mod n].
+        self.to_matrix = ((2 * r) % n) * n + (c - r) % n
+        # from-Weyl: the diagonal table D[r, c] = matrix[r, (r + c) mod n]
+        # is gathered with row r' holding row r'/2 mod n, so that row r' of
+        # the FFT of the gathered table is row 2r' of the FFT of D, which puts
+        # the output rows in wave-vector order.
+        hr = (half_inv * r) % n
+        self.from_matrix = hr * n + (hr + c) % n
+        # stream scale: B = to-Weyl(zw * stream) = (n i/4pi) P for the stream
+        # matrix P of the field, with P's coefficients -zeta_k/|k|^2.
         signed = np.where(rows > m, rows - n, rows)
         norms2 = signed[:, None] ** 2 + signed[None, :] ** 2
-        self.inv_norms2 = np.zeros((n, n))
-        self.inv_norms2[norms2 > 0] = 1.0 / norms2[norms2 > 0]
-        for arr in (self.phase, self.double, self.diag_cols, self.inv_norms2):
+        self.stream = np.zeros((n, n), dtype=np.complex128)
+        self.stream[norms2 > 0] = (-0.25j * n / np.pi) / norms2[norms2 > 0]
+        for arr in (self.phase, self.conj_phase, self.to_matrix, self.from_matrix, self.stream):
             arr.setflags(write=False)
 
 
@@ -162,41 +180,43 @@ def _weyl_tables(n: int) -> _WeylTables:
 def _to_weyl_matrix(n: int, wrapped: np.ndarray) -> np.ndarray:
     """sum_k c_k T_k from wrapped coefficients c[k1 % n, k2 % n]."""
     t = _weyl_tables(n)
-    spectral = np.fft.ifft(wrapped * t.phase, axis=0) * n
-    rows = np.arange(n)
-    matrix = np.empty((n, n), dtype=np.complex128)
-    matrix[rows[:, None], t.diag_cols] = spectral[t.double, :]
-    return matrix
+    spectral = wrapped * t.phase
+    np.fft.ifft(spectral, axis=0, norm="forward", out=spectral)
+    return spectral.ravel().take(t.to_matrix)
 
 
 def _from_weyl_matrix(n: int, matrix: np.ndarray) -> np.ndarray:
     """Wrapped coefficients of a matrix in the clock-and-shift basis."""
     t = _weyl_tables(n)
-    rows = np.arange(n)
-    diagonals = matrix[rows[:, None], t.diag_cols]
-    spectral = np.fft.fft(diagonals, axis=0) / n
-    return spectral[t.double, :] * np.conj(t.phase)
+    spectral = matrix.ravel().take(t.from_matrix)
+    np.fft.fft(spectral, axis=0, norm="forward", out=spectral)
+    spectral *= t.conj_phase
+    return spectral
 
 
 def rhs_fast(grid: TruncationGrid, field: ModeField) -> ModeField:
-    """Tendency through the commutator form, O(n^3).
+    """Tendency through the commutator form with one matmul, O(n^3).
 
-    The field and its stream function are lifted to matrices W and P over
-    the clock-and-shift basis, where the truncated bracket is exactly
-    (n i/4pi) [P, W]; the result is transformed back to mode coefficients.
-    The mean component of the commutator vanishes (it is traceless) and is
+    The field is lifted to the Hermitian matrix W over the clock-and-shift
+    basis and its scaled stream function to the skew-Hermitian
+    B = (n i/4pi) P, where the truncated bracket is exactly
+    (n i/4pi) [P, W] = BW + (BW)^H.  Since from-Weyl(X^H)_k equals
+    conj(from-Weyl(X)_{-k}), the tendency is y + conj(y_{-k}) with
+    y = from-Weyl(BW): one matmul, and a result that satisfies the reality
+    condition bitwise, so no non-real part can build up while stepping.
+    The input is taken to be real; the mean component of the product is
     discarded.
     """
     n = grid.n
-    t = _weyl_tables(n)
     zw = _wrapped(field, n)
-    pw = -zw * t.inv_norms2
     w_mat = _to_weyl_matrix(n, zw)
-    p_mat = _to_weyl_matrix(n, pw)
-    commutator = p_mat @ w_mat - w_mat @ p_mat
-    tw = _from_weyl_matrix(n, (0.25 * n / np.pi) * 1j * commutator)
-    v = grid.vectors
-    return ModeField(grid, tw[v[:, 0] % n, v[:, 1] % n])
+    zw *= _weyl_tables(n).stream
+    b_mat = _to_weyl_matrix(n, zw)
+    y = _from_weyl_matrix(n, b_mat @ w_mat).ravel().take(_wrap_index(n, n))
+    tendency = y.take(grid.neg_index)
+    np.conjugate(tendency, out=tendency)
+    tendency += y
+    return ModeField(grid, tendency)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +300,9 @@ def step(state: SimState, config: IntegratorConfig, rhs: RhsFunction = rhs_fast)
 
 
 def _record(state: SimState, h0: float, e0: float) -> DiagnosticsRecord:
-    h = energy(state.field)
-    e = enstrophy(state.field)
+    # integrate() has validated the field's reality at its own tolerance.
+    h = _energy(state.field)
+    e = _enstrophy(state.field)
     return DiagnosticsRecord(
         time=state.time,
         energy=h,
@@ -298,13 +319,14 @@ def integrate(
 ) -> tuple[SimState, list[DiagnosticsRecord]]:
     """Run ``config.steps`` steps with diagnostics every ``record_every``.
 
-    The reality condition is re-validated (relative 1e-10) at every record
-    point; the final step is always recorded.  Returns the final state and
-    the diagnostics series, the input state is left untouched.
+    The reality condition is validated (relative 1e-10) on entry and at
+    every record point, and only there; the final step is always recorded.
+    Returns the final state and the diagnostics series, the input state is
+    left untouched.
     """
     validate_reality(state.field, tol=1e-10)
-    h0 = energy(state.field)
-    e0 = enstrophy(state.field)
+    h0 = _energy(state.field)
+    e0 = _enstrophy(state.field)
     records = [_record(state, h0, e0)]
     current = SimState(state.time, state.field.copy())
     for s in range(1, config.steps + 1):

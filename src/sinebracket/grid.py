@@ -269,16 +269,26 @@ def _real_quadratic_sum(field: ModeField, weights: np.ndarray, label: str) -> fl
     return float(total.real)
 
 
+def _energy(field: ModeField) -> float:
+    """:func:`energy` of a field whose reality the caller has validated."""
+    return _real_quadratic_sum(field, 1.0 / field.grid.norms2, "energy")
+
+
+def _enstrophy(field: ModeField) -> float:
+    """:func:`enstrophy` of a field whose reality the caller has validated."""
+    return _real_quadratic_sum(field, np.ones(field.grid.size), "enstrophy")
+
+
 def energy(field: ModeField) -> float:
     """Kinetic energy (2pi)^2/2 * sum_k |k|^-2 zeta_hat(k) zeta_hat(-k)."""
     validate_reality(field)
-    return _real_quadratic_sum(field, 1.0 / field.grid.norms2, "energy")
+    return _energy(field)
 
 
 def enstrophy(field: ModeField) -> float:
     """Enstrophy (2pi)^2/2 * sum_k zeta_hat(k) zeta_hat(-k)."""
     validate_reality(field)
-    return _real_quadratic_sum(field, np.ones(field.grid.size), "enstrophy")
+    return _enstrophy(field)
 
 
 def stream_function(field: ModeField) -> ModeField:
@@ -286,13 +296,21 @@ def stream_function(field: ModeField) -> ModeField:
     return ModeField(field.grid, -field.coeffs / field.grid.norms2)
 
 
+@functools.lru_cache(maxsize=16)
+def _wrap_index(n: int, size: int) -> np.ndarray:
+    """Flat position of each retained k of truncation n in a (size, size)
+    array indexed by k mod size."""
+    v = _grid_tables(n).vectors
+    index = (v[:, 0] % size) * size + v[:, 1] % size
+    index.setflags(write=False)
+    return index
+
+
 def _wrapped(field: ModeField, size: int) -> np.ndarray:
     """Embed the coefficients into a (size, size) array indexed by k mod size."""
-    grid = field.grid
-    out = np.zeros((size, size), dtype=np.complex128)
-    v = grid.vectors
-    out[v[:, 0] % size, v[:, 1] % size] = field.coeffs
-    return out
+    out = np.zeros(size * size, dtype=np.complex128)
+    out[_wrap_index(field.grid.n, size)] = field.coeffs
+    return out.reshape(size, size)
 
 
 def to_physical(field: ModeField, size: int | None = None) -> np.ndarray:

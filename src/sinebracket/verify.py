@@ -118,16 +118,15 @@ def _table_jacobi_residual(grid: TruncationGrid) -> float:
     and a sum that wraps onto the origin carries an exactly-zero sine.
     """
     t = _pair_tables(grid.n)
-    s, w = t.sin_cross, t.wrap_index
+    s = t.sin_cross
+    w = np.clip(t.wrap_index, 0, None)  # sums wrapping onto the origin carry sine 0
     size = grid.size
     worst = 0.0
     term_scale = 0.0
     for a in range(size):
-        wa = np.clip(w[a], 0, None)  # wrap of i+j over j; origin rows carry sine 0
-        t1 = s[a][:, None] * s[wa, :]
-        t2 = s * s[np.clip(w, 0, None), a]
-        wk = np.clip(w[:, a], 0, None)  # wrap of k+i over k
-        t3 = (s[:, a][:, None] * s[wk, :]).T
+        t1 = s[a][:, None] * s[w[a], :]  # w[a]: wrap of i+j over j
+        t2 = s * s[w, a]
+        t3 = (s[:, a][:, None] * s[w[:, a], :]).T  # w[:, a]: wrap of k+i over k
         total = t1 + t2 + t3
         worst = max(worst, float(np.max(np.abs(total))))
         for term in (t1, t2, t3):

@@ -40,3 +40,20 @@ def test_span_install_points_resolve(table):
 def test_stepping_defaults_to_rhs_fast():
     for fn in (dynamics.step, dynamics.integrate):
         assert inspect.signature(fn).parameters["rhs"].default is dynamics.rhs_fast
+
+
+def test_rhs_fast_reaches_each_traced_layer(monkeypatch):
+    # The tracer times wrap, to-Weyl and from-Weyl by patching these module
+    # globals, so rhs_fast must keep looking them up there.
+    calls = {"_wrapped": 0, "_to_weyl_matrix": 0, "_from_weyl_matrix": 0}
+    for name in calls:
+        original = getattr(dynamics, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(dynamics, name, counting)
+    grid = sinebracket.build_grid(9)
+    dynamics.rhs_fast(grid, dynamics.random_shell_field(grid, seed=0))
+    assert calls == {"_wrapped": 1, "_to_weyl_matrix": 2, "_from_weyl_matrix": 1}

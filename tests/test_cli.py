@@ -103,6 +103,23 @@ def test_run_zero_amplitude_is_exactly_static(tmp_path):
     assert summary["drift_energy"] == 0.0 and summary["drift_enstrophy"] == 0.0
 
 
+def test_run_readme_example_for_20000_steps(tmp_path):
+    # The README example config; run this long it once aborted on a 1.1e-12
+    # reality residual that the scheme itself had accumulated.
+    cfg_path, _ = _write_config(
+        tmp_path,
+        n=11,
+        steps=20000,
+        record_every=100,
+        seed=6,
+        initial_condition={"type": "shell", "shell_min": 1.0, "shell_max": 4.0, "amplitude": 6.0},
+    )
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+    final = load_mode_field(tmp_path / "out" / "final_state.csv")
+    assert final.reality_residual() == 0.0
+    assert len(load_diagnostics(tmp_path / "out" / "diagnostics.csv")) == 201
+
+
 def test_run_usage_errors(tmp_path):
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == EXIT_USAGE
     bad_json = tmp_path / "bad.json"

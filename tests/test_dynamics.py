@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sinebracket import dynamics
 from sinebracket.dynamics import (
     DiagnosticsRecord,
     IntegratorConfig,
@@ -24,7 +25,7 @@ from sinebracket.dynamics import (
     step,
 )
 from sinebracket.errors import StepConvergenceError, ValidationError
-from sinebracket.grid import ModeField, build_grid, energy, enstrophy, validate_reality
+from sinebracket.grid import ModeField, _wrapped, build_grid, energy, enstrophy, validate_reality
 
 TWO_PI = 2.0 * math.pi
 
@@ -108,6 +109,51 @@ def test_tendency_is_real_spectrum():
     field = _band_field(grid, seed=3)
     validate_reality(rhs_fast(grid, field))
     validate_reality(rhs_naive(grid, field))
+
+
+def _random_real_field(grid, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    return ModeField(grid, raw + np.conj(raw[grid.neg_index]))
+
+
+@pytest.mark.parametrize("n", [5, 21, 161])
+def test_rhs_fast_tendency_is_exactly_real(n):
+    grid = build_grid(n)
+    for seed in range(2):
+        tendency = rhs_fast(grid, _random_real_field(grid, seed))
+        assert np.max(np.abs(tendency.coeffs)) > 0.0
+        assert tendency.reality_residual() == 0.0
+
+
+@pytest.mark.parametrize("n", [5, 21])
+def test_weyl_transforms_round_trip(n):
+    grid = build_grid(n)
+    zw = _wrapped(_random_real_field(grid, seed=n), n)
+    back = dynamics._from_weyl_matrix(n, dynamics._to_weyl_matrix(n, zw))
+    assert np.max(np.abs(back - zw)) <= 1e-14 * np.max(np.abs(zw))
+
+
+@pytest.mark.parametrize("n", [5, 21])
+def test_from_weyl_adjoint_rule(n):
+    # from-Weyl(X^H)_k = conj(from-Weyl(X)_{-k}); rhs_fast rests on it.
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    direct = dynamics._from_weyl_matrix(n, x.conj().T)
+    neg = (-np.arange(n)) % n
+    mirrored = np.conj(dynamics._from_weyl_matrix(n, x)[neg[:, None], neg[None, :]])
+    assert np.max(np.abs(direct - mirrored)) <= 1e-14 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("n", [5, 21])
+def test_wrapped_matches_modular_scatter(n):
+    grid = build_grid(n)
+    field = _random_real_field(grid, seed=1)
+    v = grid.vectors
+    for size in (n, n + 1, 2 * n + 3):  # size > n is the to_physical case
+        expected = np.zeros((size, size), dtype=np.complex128)
+        expected[v[:, 0] % size, v[:, 1] % size] = field.coeffs
+        assert np.array_equal(_wrapped(field, size), expected)
 
 
 def test_tendency_conserves_quadratic_invariants_pointwise():
@@ -228,6 +274,35 @@ def test_integrate_rejects_nonreal_spectrum():
     coeffs[grid.index_of((1, 0))] = 1.0  # no conjugate partner
     with pytest.raises(ValidationError):
         integrate(SimState(0.0, ModeField(grid, coeffs)), IntegratorConfig(steps=1))
+
+
+def test_integrate_accepts_its_entry_tolerance_at_every_record():
+    # A residual between REALITY_TOL (1e-12) and the 1e-10 that integrate
+    # checks must not fail in the energy/enstrophy of a record.
+    grid = build_grid(7)
+    field = _band_field(grid, seed=7, amplitude=1.0)
+    top = int(np.argmax(np.abs(field.coeffs)))
+    field.coeffs[grid.neg_index[top]] *= 1.0 + 5e-11
+    assert 1e-12 < field.reality_residual() <= 1e-10
+    _, records = integrate(SimState(0.0, field), IntegratorConfig(steps=3, record_every=1))
+    assert len(records) == 4
+    assert records[-1].drift_enstrophy <= 1e-12
+
+
+def test_rk4_large_step_stays_exactly_real():
+    # Once the rounding-level non-real part of the tendency grew about 1e3
+    # every 500 steps here, and the state was NaN at step 2,295.
+    grid = build_grid(21)
+    field = random_shell_field(grid, seed=6, shell_min=1.0, shell_max=4.0, amplitude=6.0)
+    config = IntegratorConfig(dt=2e-2, steps=500, record_every=500)
+    state = SimState(0.0, field)
+    for _ in range(6):
+        for _ in range(config.steps):
+            state = step(state, config)
+        z = state.field.coeffs
+        assert np.all(np.isfinite(z))
+        assert np.max(np.abs(z)) <= 10.0
+        assert state.field.reality_residual() == 0.0
 
 
 def test_reality_preserved_over_long_run():

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from sinebracket.algebra import ZeitlinConstants
+from sinebracket.algebra import ZeitlinConstants, _pair_tables
 from sinebracket.grid import build_grid
 from sinebracket.verify import (
+    _table_jacobi_residual,
     format_reports,
     gen_jacobi_residual_known,
     run_convergence_study,
@@ -52,6 +53,31 @@ def test_identity_suite_is_deterministic():
 
 def test_identity_suite_other_seed_passes():
     assert all(r.passed for r in run_identity_suite(5, seed=12345))
+
+
+def _table_jacobi_residual_per_row(grid):
+    # Reference: one row of the wrap table clipped per iteration.
+    t = _pair_tables(grid.n)
+    s, w = t.sin_cross, t.wrap_index
+    worst = 0.0
+    term_scale = 0.0
+    for a in range(grid.size):
+        wa = np.clip(w[a], 0, None)
+        t1 = s[a][:, None] * s[wa, :]
+        t2 = s * s[np.clip(w, 0, None), a]
+        wk = np.clip(w[:, a], 0, None)
+        t3 = (s[:, a][:, None] * s[wk, :]).T
+        total = t1 + t2 + t3
+        worst = max(worst, float(np.max(np.abs(total))))
+        for term in (t1, t2, t3):
+            term_scale = max(term_scale, float(np.max(np.abs(term))))
+    return worst / term_scale if term_scale else 0.0
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_table_jacobi_residual_matches_per_row_reference(n):
+    grid = build_grid(n)
+    assert _table_jacobi_residual(grid) == _table_jacobi_residual_per_row(grid)
 
 
 def test_identity_suite_rejects_bad_n():

@@ -25,7 +25,8 @@ Leibniz rule but not the generalized (fundamental) Jacobi identity;
 :func:`gen_jacobi_residual` and :func:`scan_gen_jacobi` quantify exactly
 how it fails.  The truncated and the untruncated tensor are both supported
 on closing triples (i + j + k = 0, modulo n on the truncation) and differ
-only in the coefficient, so one closing-triple kernel scans both.
+only in the coefficient, so one entry rule gives both (and the structure
+constants, read at (i, j, -k)), and one closing-triple kernel scans both.
 
 Sine and cosine values are read from reflected tables indexed by integer
 arguments modulo n, so all antisymmetry and wrap cancellations hold
@@ -93,30 +94,27 @@ def casimir_scale(n: int) -> float:
     return -0.5 * (n / TWO_PI) ** 4
 
 
+def _reflected_table(n: int, fn, sign: float) -> np.ndarray:
+    """fn(2pi s/n) for s = 0..n-1, mirrored as T[n-s] = sign * T[s]."""
+    table = np.full(n, fn(0.0))
+    for s in range(1, (n - 1) // 2 + 1):
+        value = fn(TWO_PI * s / n)
+        table[s] = value
+        table[n - s] = sign * value
+    table.setflags(write=False)
+    return table
+
+
 @functools.lru_cache(maxsize=None)
 def sine_table(n: int) -> np.ndarray:
     """sin(2pi s/n) for s = 0..n-1 with exact odd symmetry S[n-s] = -S[s]."""
-    m = (n - 1) // 2
-    table = np.zeros(n)
-    for s in range(1, m + 1):
-        value = math.sin(TWO_PI * s / n)
-        table[s] = value
-        table[n - s] = -value
-    table.setflags(write=False)
-    return table
+    return _reflected_table(n, math.sin, -1.0)
 
 
 @functools.lru_cache(maxsize=None)
 def cosine_table(n: int) -> np.ndarray:
     """cos(2pi s/n) for s = 0..n-1 with exact even symmetry."""
-    m = (n - 1) // 2
-    table = np.ones(n)
-    for s in range(1, m + 1):
-        value = math.cos(TWO_PI * s / n)
-        table[s] = value
-        table[n - s] = value
-    table.setflags(write=False)
-    return table
+    return _reflected_table(n, math.cos, 1.0)
 
 
 class _PairTables(NamedTuple):
@@ -153,29 +151,40 @@ def _masked_gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _closing_entry(grid: TruncationGrid | None, i, j, k, power: int) -> float:
+    """Entry at (i, j, k) of a tensor supported on closing triples i + j + k = 0.
+
+    On a truncation the three vectors must be retained, the triple closes
+    modulo n and the entry is -(2pi)^-power (n/2pi) sin((2pi/n) i x j).
+    Without a grid (the untruncated algebra) the vectors must be nonzero,
+    the triple closes exactly and the entry is -(i x j) / (2pi)^power.
+    """
+    i, j, k = _as_wave_vector(i), _as_wave_vector(j), _as_wave_vector(k)
+    if grid is None:
+        if (0, 0) in (i, j, k):
+            raise ValueError("the zero wave vector is not a mode index")
+        if i + j + k != (0, 0):
+            return 0.0
+        return -float(i.cross(j)) / TWO_PI**power
+    for v in (i, j, k):
+        grid.index_of(v)  # membership check, raises ValueError
+    if grid.mod_reduce(i + j + k) != (0, 0):
+        return 0.0
+    return -grid.n / TWO_PI ** (power + 1) * float(sine_table(grid.n)[i.cross(j) % grid.n])
+
+
 def alpha_zeitlin(grid: TruncationGrid, i, j, k) -> float:
     """Structure constant of the truncated algebra at (i, j, k).
 
     All three wave vectors must belong to the retained set; a sum that
     wraps to the origin matches no retained k, so the constant vanishes.
     """
-    i, j, k = _as_wave_vector(i), _as_wave_vector(j), _as_wave_vector(k)
-    for v in (i, j, k):
-        grid.index_of(v)  # membership check, raises ValueError
-    if grid.mod_reduce(i + j) != k:
-        return 0.0
-    return lie_poisson_prefactor(grid.n) * float(sine_table(grid.n)[i.cross(j) % grid.n])
+    return _closing_entry(grid, i, j, -_as_wave_vector(k), power=2)
 
 
 def alpha_continuum(i, j, k) -> float:
     """Structure constant of the untruncated mode algebra at (i, j, k)."""
-    i, j, k = _as_wave_vector(i), _as_wave_vector(j), _as_wave_vector(k)
-    for v in (i, j, k):
-        if v == (0, 0):
-            raise ValueError("the zero wave vector is not a mode index")
-    if i + j != k:
-        return 0.0
-    return -float(i.cross(j)) / TWO_PI**2
+    return _closing_entry(None, i, j, -_as_wave_vector(k), power=2)
 
 
 @dataclass(frozen=True)
@@ -183,9 +192,6 @@ class ZeitlinConstants:
     """Sine-algebra constants of the truncation with parameter grid.n."""
 
     grid: TruncationGrid
-
-    def entry(self, i, j, k) -> float:
-        return alpha_zeitlin(self.grid, i, j, k)
 
     def dense(self) -> np.ndarray:
         """Full (N, N, N) tensor in canonical index order.
@@ -204,9 +210,6 @@ class ZeitlinConstants:
 
 class ContinuumConstants:
     """Constants of the untruncated algebra; index set is all of Z^2 minus 0."""
-
-    def entry(self, i, j, k) -> float:
-        return alpha_continuum(i, j, k)
 
 
 class GenericConstants:
@@ -230,9 +233,6 @@ class GenericConstants:
             )
         self.alpha = alpha
         self.dim = alpha.shape[0]
-
-    def entry(self, i: int, j: int, k: int) -> float:
-        return float(self.alpha[i, j, k])
 
 
 def dense_antisymmetry_residual(alpha: np.ndarray) -> float:
@@ -340,12 +340,6 @@ class ClosedKillingForm:
 
     grid: TruncationGrid
 
-    def entry(self, i, j) -> float:
-        return killing_closed(self.grid, i, j)
-
-    def inverse_entry(self, i, j) -> float:
-        return killing_inverse_diagonal(self.grid.n) if self.entry(i, j) else 0.0
-
     def as_matrix(self) -> np.ndarray:
         grid = self.grid
         out = np.zeros((grid.size, grid.size))
@@ -377,12 +371,6 @@ class DenseKillingForm:
                 "Killing form is singular or near-singular: the algebra is not semi-simple"
             )
         return inverse
-
-    def entry(self, i: int, j: int) -> float:
-        return float(self.matrix[i, j])
-
-    def inverse_entry(self, i: int, j: int) -> float:
-        return float(self.inverse[i, j])
 
 
 def quadratic_casimir(grid: TruncationGrid, field: ModeField) -> float:
@@ -428,13 +416,7 @@ class SineNambuTensor:
         return casimir_scale(self.grid.n)
 
     def entry(self, i, j, k) -> float:
-        i, j, k = _as_wave_vector(i), _as_wave_vector(j), _as_wave_vector(k)
-        grid = self.grid
-        for v in (i, j, k):
-            grid.index_of(v)
-        if grid.mod_reduce(i + j + k) != (0, 0):
-            return 0.0
-        return nambu_prefactor(grid.n) * float(sine_table(grid.n)[i.cross(j) % grid.n])
+        return _closing_entry(self.grid, i, j, k, power=4)
 
 
 @dataclass(frozen=True)
@@ -442,13 +424,7 @@ class ContinuumNambuTensor:
     """Untruncated tensor: supported on exactly closing triples i+j+k = 0."""
 
     def entry(self, i, j, k) -> float:
-        i, j, k = _as_wave_vector(i), _as_wave_vector(j), _as_wave_vector(k)
-        for v in (i, j, k):
-            if v == (0, 0):
-                raise ValueError("the zero wave vector is not a mode index")
-        if i + j + k != (0, 0):
-            return 0.0
-        return -float(i.cross(j)) / TWO_PI**4
+        return _closing_entry(None, i, j, k, power=4)
 
 
 class DenseNambuTensor:
@@ -468,9 +444,6 @@ class DenseNambuTensor:
 
     def entry(self, i: int, j: int, k: int) -> float:
         return float(self.array[i, j, k])
-
-    def contract(self, g1: np.ndarray, g2: np.ndarray, g3: np.ndarray) -> float:
-        return float(np.einsum("ijk,i,j,k->", self.array, g1, g2, g3))
 
 
 def dense_total_antisymmetry_residual(array: np.ndarray) -> float:
@@ -506,12 +479,12 @@ class GenericAlgebra:
     constants: GenericConstants
     killing: DenseKillingForm
     nambu: DenseNambuTensor
-    casimir_coefficients: np.ndarray  # C(z) = 1/2 z.K^{-1}.z
     scaling: float
 
     def casimir(self, z: np.ndarray) -> float:
+        """C(z) = 1/2 z.K^{-1}.z."""
         z = np.asarray(z, dtype=np.float64)
-        return float(0.5 * z @ self.casimir_coefficients @ z)
+        return float(0.5 * z @ self.killing.inverse @ z)
 
 
 def construct_generic(
@@ -537,13 +510,7 @@ def construct_generic(
         )
     killing = DenseKillingForm(killing_bruteforce(constants))
     nambu = DenseNambuTensor(np.einsum("ijl,lk->ijk", constants.alpha, killing.matrix) / scaling)
-    return GenericAlgebra(
-        constants=constants,
-        killing=killing,
-        nambu=nambu,
-        casimir_coefficients=killing.inverse,
-        scaling=scaling,
-    )
+    return GenericAlgebra(constants=constants, killing=killing, nambu=nambu, scaling=scaling)
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +534,17 @@ def _bilinear_with_scale(
     return value, scale
 
 
+def _real_bilinear(matrix: np.ndarray, g1: np.ndarray, g2: np.ndarray, what: str) -> float:
+    """Real part of g1.M.g2; an imaginary residue beyond 1e-10 of the
+    cancellation scale raises :class:`ValidationError`."""
+    value, scale = _bilinear_with_scale(matrix, g1, g2)
+    if abs(value.imag) > 1e-10 * max(scale, 1e-300):
+        raise ValidationError(
+            f"{what} is not real: imaginary part {value.imag:.3e} at scale {scale:.3e}"
+        )
+    return value.real
+
+
 def lie_poisson_bracket_complex(
     grid: TruncationGrid, field: ModeField, f1: Functional, f2: Functional
 ) -> complex:
@@ -585,14 +563,12 @@ def lie_poisson_bracket(
     is real; an imaginary residue beyond 1e-10 relative to the cancellation
     scale of the sum raises :class:`ValidationError`.
     """
-    matrix = _lie_poisson_matrix(grid, field)
-    value, scale = _bilinear_with_scale(matrix, f1.gradient(field), f2.gradient(field))
-    if abs(value.imag) > 1e-10 * max(scale, 1e-300):
-        raise ValidationError(
-            f"Lie-Poisson bracket of {f1.name!r} and {f2.name!r} is not real: "
-            f"imaginary part {value.imag:.3e} at scale {scale:.3e}"
-        )
-    return value.real
+    return _real_bilinear(
+        _lie_poisson_matrix(grid, field),
+        f1.gradient(field),
+        f2.gradient(field),
+        f"Lie-Poisson bracket of {f1.name!r} and {f2.name!r}",
+    )
 
 
 def _nambu_matrix(grid: TruncationGrid, g3: np.ndarray) -> np.ndarray:
@@ -615,15 +591,12 @@ def nambu_bracket(
             "field-based Nambu brackets need the truncated tensor; use "
             "support_nambu_bracket for finitely supported observables"
         )
-    grid = tensor.grid
-    matrix = _nambu_matrix(grid, f3.gradient(field))
-    value, scale = _bilinear_with_scale(matrix, f1.gradient(field), f2.gradient(field))
-    if abs(value.imag) > 1e-10 * max(scale, 1e-300):
-        raise ValidationError(
-            f"Nambu bracket of {f1.name!r}, {f2.name!r}, {f3.name!r} is not real: "
-            f"imaginary part {value.imag:.3e} at scale {scale:.3e}"
-        )
-    return value.real
+    return _real_bilinear(
+        _nambu_matrix(tensor.grid, f3.gradient(field)),
+        f1.gradient(field),
+        f2.gradient(field),
+        f"Nambu bracket of {f1.name!r}, {f2.name!r}, {f3.name!r}",
+    )
 
 
 def support_nambu_bracket(

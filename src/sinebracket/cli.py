@@ -13,7 +13,7 @@ Exit codes: 0 success, 1 check failure, 2 usage or configuration error,
 exits 3 without writing outputs when the state becomes non-finite.  Every
 output file gains a ``.meta.json`` sidecar recording version,
 configuration hash, and seed; outputs are byte-identical across reruns of
-the same configuration and seed in single-worker mode.
+the same configuration and seed.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 
@@ -98,16 +98,7 @@ class RunConfig:
             raise ValidationError(f"bad run configuration: {exc}") from exc
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "scheme": self.scheme,
-            "dt": self.dt,
-            "steps": self.steps,
-            "record_every": self.record_every,
-            "seed": self.seed,
-            "initial_condition": self.initial_condition,
-            "out_dir": self.out_dir,
-        }
+        return asdict(self)
 
 
 def _build_initial_condition(config: RunConfig) -> ModeField:

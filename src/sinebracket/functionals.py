@@ -108,26 +108,18 @@ class ModePolynomial:
                 grad[v] = grad.get(v, 0.0) + prod
         return grad
 
+    def _lookup(self, field: ModeField) -> dict[WaveVector, complex]:
+        """The field's coefficients on the support; off-grid raises ValueError."""
+        return {v: field.coeffs[field.grid.index_of(v)] for v in self.support()}
+
     def value(self, field: ModeField) -> complex:
-        total = 0.0 + 0.0j
-        for c, vs in self.terms:
-            prod = c
-            for v in vs:
-                prod *= field.coeffs[field.grid.index_of(v)]
-            total += prod
-        return total
+        return self.value_map(self._lookup(field))
 
     def gradient(self, field: ModeField) -> np.ndarray:
         grid = field.grid
         out = np.zeros(grid.size, dtype=np.complex128)
-        for c, vs in self.terms:
-            indices = [grid.index_of(v) for v in vs]
-            for s, idx in enumerate(indices):
-                prod = c
-                for t, jdx in enumerate(indices):
-                    if t != s:
-                        prod *= field.coeffs[jdx]
-                out[idx] += prod
+        for v, g in self.gradient_map(self._lookup(field)).items():
+            out[grid.index_of(v)] = g
         return out
 
     def as_functional(self, name: str = "polynomial") -> Functional:

@@ -345,5 +345,4 @@ def from_physical(samples: np.ndarray, grid: TruncationGrid) -> ModeField:
             f"sample array has shape {samples.shape}, expected ({grid.n}, {grid.n})"
         )
     spec = np.fft.fft2(samples.astype(np.float64)) / grid.n**2
-    v = grid.vectors
-    return ModeField(grid, spec[v[:, 0] % grid.n, v[:, 1] % grid.n])
+    return ModeField(grid, spec.reshape(-1)[_wrap_index(grid.n, grid.n)])

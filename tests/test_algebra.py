@@ -34,10 +34,14 @@ from sinebracket.algebra import (
     killing_bruteforce,
     killing_closed,
     lie_poisson_bracket,
+    lie_poisson_bracket_complex,
+    lie_poisson_prefactor,
     nambu_bracket,
+    nambu_prefactor,
     orthogonality_check,
     quadratic_casimir,
     scan_gen_jacobi,
+    sine_table,
     support_nambu_bracket,
 )
 from sinebracket.dynamics import (
@@ -47,7 +51,7 @@ from sinebracket.dynamics import (
 )
 from sinebracket.errors import ValidationError
 from sinebracket.functionals import ModePolynomial, random_real_polynomial
-from sinebracket.grid import build_grid
+from sinebracket.grid import ModeField, build_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -295,6 +299,34 @@ def test_continuum_nambu_entries():
         t.entry((0, 0), (0, 1), (0, -1))
 
 
+def test_entry_rule_gives_literal_values():
+    # alpha and N of the truncation and of the untruncated algebra share one
+    # closing-triple rule; each must still equal its literal formula exactly.
+    n = 5
+    grid = build_grid(n)
+    tensor = SineNambuTensor(grid)
+    for i in grid:
+        for j in grid:
+            sine = sine_table(n)[i.cross(j) % n]
+            for k in grid:
+                alpha_closes = (_wrap(i[0] + j[0], n), _wrap(i[1] + j[1], n)) == k
+                nambu_closes = _wrap(i[0] + j[0] + k[0], n) == 0 == _wrap(i[1] + j[1] + k[1], n)
+                alpha = lie_poisson_prefactor(n) * sine if alpha_closes else 0.0
+                nambu = nambu_prefactor(n) * sine if nambu_closes else 0.0
+                assert alpha_zeitlin(grid, i, j, k) == alpha
+                assert tensor.entry(i, j, k) == nambu
+    box = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if (a, b) != (0, 0)]
+    continuum = ContinuumNambuTensor()
+    for i in box:
+        for j in box:
+            cross = i[0] * j[1] - i[1] * j[0]
+            for k in box:
+                alpha = -cross / TWO_PI**2 if (i[0] + j[0], i[1] + j[1]) == k else 0.0
+                closes = (i[0] + j[0] + k[0], i[1] + j[1] + k[1]) == (0, 0)
+                assert alpha_continuum(i, j, k) == alpha
+                assert continuum.entry(i, j, k) == (-cross / TWO_PI**4 if closes else 0.0)
+
+
 def test_dense_nambu_validates_antisymmetry():
     bad = np.zeros((3, 3, 3))
     bad[0, 1, 2] = 1.0  # no compensating permutations
@@ -357,6 +389,19 @@ def test_nambu_bracket_total_antisymmetry():
     assert nambu_bracket(t, fs[1], fs[0], fs[2], field) == pytest.approx(-base, rel=1e-9, abs=1e-13)
     assert nambu_bracket(t, fs[2], fs[1], fs[0], field) == pytest.approx(-base, rel=1e-9, abs=1e-13)
     assert nambu_bracket(t, fs[1], fs[2], fs[0], field) == pytest.approx(base, rel=1e-9, abs=1e-13)
+
+
+def test_brackets_refuse_a_field_without_conjugate_symmetry():
+    grid = build_grid(5)
+    rng = np.random.default_rng(0)
+    field = ModeField(grid, rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size))
+    h, e = hamiltonian_functional(grid), enstrophy_functional(grid)
+    f = random_real_polynomial(grid, rng).as_functional("f")
+    assert lie_poisson_bracket_complex(grid, field, h, f).imag != 0.0
+    with pytest.raises(ValidationError, match="Lie-Poisson bracket .* is not real"):
+        lie_poisson_bracket(grid, field, h, f)
+    with pytest.raises(ValidationError, match="Nambu bracket .* is not real"):
+        nambu_bracket(SineNambuTensor(grid), h, f, e, field)
 
 
 def test_support_bracket_matches_field_bracket():

@@ -12,7 +12,7 @@ import pytest
 
 import sinebracket
 import sinebracket.cli  # noqa: F401  (not imported by the package itself)
-from sinebracket import dynamics
+from sinebracket import dynamics, verify
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -57,3 +57,16 @@ def test_rhs_fast_reaches_each_traced_layer(monkeypatch):
     grid = sinebracket.build_grid(9)
     dynamics.rhs_fast(grid, dynamics.random_shell_field(grid, seed=0))
     assert calls == {"_wrapped": 1, "_to_weyl_matrix": 2, "_from_weyl_matrix": 1}
+
+
+def test_identity_suite_reports_each_traced_helper(monkeypatch):
+    # The tracer times each check by patching its helper in ``verify``, so
+    # run_identity_suite must look the helpers up there each time it runs.
+    checks = [
+        (name, attr) for name, module, attr in _load_spans().VERIFY_CHECKS if module == "verify"
+    ]
+    assert checks
+    for value, (_name, attr) in enumerate(checks, start=1):
+        monkeypatch.setattr(verify, attr, lambda *args, _value=value: _value / 64)
+    reports = {r.name: r.max_residual for r in verify.run_identity_suite(3)}
+    assert reports == {name: value / 64 for value, (name, _attr) in enumerate(checks, start=1)}

@@ -14,9 +14,10 @@ from sinebracket.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_USAGE,
+    RunConfig,
     main,
 )
-from sinebracket.serialization import load_diagnostics, load_mode_field
+from sinebracket.serialization import config_hash, load_diagnostics, load_mode_field
 
 
 def _write_config(tmp_path, **overrides):
@@ -56,6 +57,16 @@ def test_run_writes_artifacts(tmp_path, capsys):
     meta = json.loads((out / "final_state.csv.meta.json").read_text())
     assert set(meta) == {"version", "config_hash", "seed"}
     assert "drift_H=" in capsys.readouterr().out
+
+
+def test_run_config_hash_is_pinned():
+    # Every .meta.json sidecar of a run carries this hash of as_dict().
+    config = RunConfig.from_mapping(
+        {"n": 9, "dt": 1e-3, "steps": 40, "initial_condition": {"type": "shell", "amplitude": 2.0}}
+    )
+    assert config_hash(config.as_dict()) == (
+        "09879554d457c2538efdb2f78918c999578cf796fc5cd0283e1945484a17b538"
+    )
 
 
 def test_run_is_deterministic_byte_for_byte(tmp_path):

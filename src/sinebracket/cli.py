@@ -29,6 +29,7 @@ from pathlib import Path
 
 from .dynamics import (
     IntegratorConfig,
+    RhsCounts,
     SimState,
     integrate,
     random_shell_field,
@@ -153,8 +154,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     try:
+        counts = RhsCounts()
         started = time.perf_counter()
-        final, records = integrate(SimState(0.0, field), integrator)
+        final, records = integrate(SimState(0.0, field), integrator, counts=counts)
         wall = time.perf_counter() - started
     except (StepConvergenceError, ConsistencyError, ValidationError) as exc:
         print(f"error: integration failed: {exc}", file=sys.stderr)
@@ -187,6 +189,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         "enstrophy_final": last.enstrophy,
         "drift_energy": last.drift_energy,
         "drift_enstrophy": last.drift_enstrophy,
+        "rhs_calls": counts.calls,
+        "rhs_calls_per_step": counts.per_step,
+        "rhs_calls_max_step": counts.max_per_step,
         "wall_time_s": wall,
     }
     write_json(paths["summary"], summary)

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,17 @@ def test_run_is_deterministic_byte_for_byte(tmp_path):
     for name, blob in first.items():
         if name.startswith("summary.json"):
             continue  # wall-clock field
+        assert (out / name).read_bytes() == blob, name
+
+
+def test_midpoint_run_is_deterministic_byte_for_byte(tmp_path):
+    # the extrapolated starting guess must not make reruns differ
+    cfg_path, _ = _write_config(tmp_path, scheme="implicit_midpoint", record_every=1)
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+    out = tmp_path / "out"
+    first = {p.name: p.read_bytes() for p in out.iterdir() if p.name.endswith(".csv")}
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+    for name, blob in first.items():
         assert (out / name).read_bytes() == blob, name
 
 
@@ -173,9 +185,50 @@ def test_run_blow_up_is_runtime_error(tmp_path, capsys):
         seed=0,
         initial_condition={"type": "shell", "amplitude": 50.0},
     )
-    assert main(["run", "--config", str(cfg_path)]) == EXIT_RUNTIME
-    assert "non-finite" in capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "non-finite" in err
+    # numpy's overflow warnings would print before it
+    assert not caught
+    assert len(err.splitlines()) == 1 and err.startswith("error: integration failed: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_run_midpoint_blow_up_fails_fast(tmp_path, capsys):
+    cfg_path, _ = _write_config(
+        tmp_path,
+        n=11,
+        dt=5.0,
+        steps=50,
+        record_every=5,
+        scheme="implicit_midpoint",
+        initial_condition={"type": "shell", "amplitude": 50.0},
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert not caught
+    assert err.startswith("error: integration failed: ") and "non-finite" in err
+    assert "did not converge" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "implicit_midpoint"])
+def test_run_summary_reports_rhs_calls(tmp_path, scheme):
+    cfg_path, _ = _write_config(tmp_path, scheme=scheme)
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    calls, per_step, most = (
+        summary[k] for k in ("rhs_calls", "rhs_calls_per_step", "rhs_calls_max_step")
+    )
+    assert per_step == calls / 40
+    if scheme == "rk4":
+        assert (calls, most) == (160, 4)
+    else:
+        assert 40 <= calls and per_step <= most <= 51
 
 
 def test_run_physical_csv_roundtrip(tmp_path):

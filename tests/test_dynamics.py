@@ -1,6 +1,8 @@
 """Tendency routes, conservation, integrators, initial conditions."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from sinebracket import dynamics
 from sinebracket.dynamics import (
     DiagnosticsRecord,
     IntegratorConfig,
+    RhsCounts,
     SimState,
     enstrophy_functional,
     enstrophy_gradient,
@@ -24,7 +27,7 @@ from sinebracket.dynamics import (
     single_pair_field,
     step,
 )
-from sinebracket.errors import StepConvergenceError, ValidationError
+from sinebracket.errors import ConsistencyError, StepConvergenceError, ValidationError
 from sinebracket.grid import ModeField, _wrapped, build_grid, energy, enstrophy, validate_reality
 
 TWO_PI = 2.0 * math.pi
@@ -187,6 +190,10 @@ def test_integrator_config_validation():
         IntegratorConfig(steps=-1)
     with pytest.raises(ValueError):
         IntegratorConfig(record_every=0)
+    with pytest.raises(ValueError):
+        IntegratorConfig(midpoint_max_iter=0)
+    with pytest.raises(ValueError):
+        IntegratorConfig(midpoint_tol=-1e-13)
     assert IntegratorConfig(dt=-1e-3).dt == -1e-3  # reversed runs are legal
 
 
@@ -266,6 +273,152 @@ def test_implicit_midpoint_reports_nonconvergence():
     )
     with pytest.raises(StepConvergenceError):
         step(SimState(0.0, field), cfg)
+
+
+class _CountingRhs:
+    """rhs_fast that counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, grid, field):
+        self.calls += 1
+        return rhs_fast(grid, field)
+
+
+def _oracle_midpoint_step(state, config, rhs):
+    """Reference midpoint step: the fixed-point loop from the explicit-Euler guess."""
+    grid = state.field.grid
+    z = state.field.coeffs
+    dt = config.dt
+
+    def f(coeffs):
+        return rhs(grid, ModeField(grid, coeffs)).coeffs
+
+    guess = z + dt * f(z)
+    scale = max(1.0, float(np.max(np.abs(guess))))
+    for _ in range(config.midpoint_max_iter):
+        improved = z + dt * f(0.5 * (z + guess))
+        delta = float(np.max(np.abs(improved - guess)))
+        guess = improved
+        if delta <= config.midpoint_tol * scale:
+            break
+    else:
+        raise StepConvergenceError(f"oracle did not converge (last update {delta:.3e})")
+    return SimState(state.time + dt, ModeField(grid, guess))
+
+
+def _midpoint_case(seed, dt, steps, n=21):
+    # the run-midpoint-n21 benchmark configuration
+    grid = build_grid(n)
+    field = random_shell_field(grid, seed=seed, shell_min=1.0, shell_max=4.0, amplitude=6.0)
+    config = IntegratorConfig(scheme="implicit_midpoint", dt=dt, steps=steps, record_every=steps)
+    return SimState(0.0, field), config
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1e-2, -1e-3])
+def test_step_without_guess_matches_euler_start_oracle(dt):
+    state, config = _midpoint_case(seed=12, dt=dt, steps=5)
+    for _ in range(config.steps):
+        expected = _oracle_midpoint_step(state, config, rhs_fast)
+        state = step(state, config)
+        assert state.time == expected.time
+        assert np.array_equal(state.field.coeffs, expected.field.coeffs)
+
+
+def test_midpoint_extrapolated_guess_needs_few_rhs_calls():
+    # From the Euler guess this run makes about 7 rhs calls per step.
+    state, config = _midpoint_case(seed=12, dt=1e-3, steps=300)
+    counting = _CountingRhs()
+    counts = RhsCounts()
+    integrate(state, config, counting, counts=counts)
+    assert counts.steps == 300 and counts.calls == counting.calls
+    assert counting.calls / config.steps <= 3.0
+
+
+@pytest.mark.parametrize("seed", [3, 6])
+def test_midpoint_large_step_makes_no_more_rhs_calls_than_oracle(seed):
+    state, config = _midpoint_case(seed=seed, dt=1e-2, steps=200)
+    counting = _CountingRhs()
+    final, _ = integrate(state, config, counting)
+    oracle = _CountingRhs()
+    for _ in range(config.steps):
+        state = _oracle_midpoint_step(state, config, oracle)
+    assert counting.calls <= oracle.calls
+    # both solve the same implicit equations to the solver tolerance
+    scale = np.max(np.abs(state.field.coeffs))
+    assert np.max(np.abs(final.field.coeffs - state.field.coeffs)) <= 1e-9 * scale
+
+
+def test_integrate_starts_each_run_from_the_euler_guess():
+    # the guess history is local to one integrate() call, so a run of one
+    # step, forward or reversed, is exactly one plain step
+    state, config = _midpoint_case(seed=3, dt=1e-3, steps=20)
+    mid, _ = integrate(state, config)
+    for start, dt in ((state, 1e-3), (mid, -1e-3)):
+        cfg = IntegratorConfig(scheme="implicit_midpoint", dt=dt, steps=1)
+        one, _ = integrate(start, cfg)
+        assert np.array_equal(one.field.coeffs, step(start, cfg).field.coeffs)
+
+
+def test_integrate_counts_rhs_calls_per_step():
+    grid = build_grid(7)
+    field = _band_field(grid, seed=4, amplitude=1.0)
+    counts = RhsCounts()
+    integrate(SimState(0.0, field), IntegratorConfig(dt=1e-3, steps=25), counts=counts)
+    assert (counts.steps, counts.calls, counts.max_per_step) == (25, 100, 4)
+    assert counts.per_step == 4.0
+    state, config = _midpoint_case(seed=12, dt=1e-3, steps=30, n=9)
+    counting = _CountingRhs()
+    counts = RhsCounts()
+    integrate(state, config, counting, counts=counts)
+    assert (counts.steps, counts.calls) == (30, counting.calls)
+    assert counts.per_step <= counts.max_per_step <= config.midpoint_max_iter + 1
+    assert RhsCounts().per_step == 0.0
+
+
+def test_midpoint_nonfinite_update_raises_at_once():
+    # shell amplitude 50 at dt = 5 overflows within a few sweeps; a loop
+    # that kept sweeping on NaN would stop only at the 50-sweep cap
+    grid = build_grid(11)
+    field = random_shell_field(grid, seed=0, shell_min=1.0, shell_max=4.0, amplitude=50.0)
+    config = IntegratorConfig(scheme="implicit_midpoint", dt=5.0, steps=1)
+    counting = _CountingRhs()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConsistencyError, match="non-finite"):
+            step(SimState(0.0, field), config, counting)
+    assert counting.calls < 10
+
+
+def test_integrate_checks_finiteness_every_step():
+    # RK4 far beyond its stability limit: the run stops at the first
+    # non-finite state, not at the next record
+    grid = build_grid(11)
+    field = random_shell_field(grid, seed=0, shell_min=1.0, shell_max=4.0, amplitude=50.0)
+    config = IntegratorConfig(dt=5.0, steps=50, record_every=50)
+    state, first_bad = SimState(0.0, field), 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while np.all(np.isfinite(state.field.coeffs)):
+            state, first_bad = step(state, config), first_bad + 1
+    assert first_bad < config.steps
+    counting = _CountingRhs()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConsistencyError, match="non-finite"):
+            integrate(SimState(0.0, field), config, counting)
+    assert counting.calls == 4 * first_bad
+    assert not caught  # numpy's overflow warnings stay inside integrate
+
+
+def test_step_convergence_error_names_the_contraction_estimate():
+    # At dt = 2e-2 the fixed-point map contracts by about 0.6 per sweep and
+    # the Euler start does not reach the tolerance in 50 sweeps.
+    state, config = _midpoint_case(seed=6, dt=2e-2, steps=1)
+    with pytest.raises(StepConvergenceError) as excinfo:
+        step(state, config)
+    found = re.search(r"contraction estimate ([0-9.e+-]+)", str(excinfo.value))
+    assert found is not None, str(excinfo.value)
+    assert 0.3 < float(found.group(1)) < 1.0
 
 
 def test_integrate_rejects_nonreal_spectrum():

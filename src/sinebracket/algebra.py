@@ -51,6 +51,7 @@ from .grid import (
     TruncationGrid,
     WaveVector,
     _as_wave_vector,
+    _real,
     enstrophy,
     validate_reality,
 )
@@ -383,14 +384,9 @@ def quadratic_casimir(grid: TruncationGrid, field: ModeField) -> float:
     """
     validate_reality(field)
     z = field.coeffs
-    paired = np.sum(z * z[grid.neg_index])
-    value = 0.5 * casimir_scale(grid.n) * killing_inverse_diagonal(grid.n) * paired
-    scale = abs(0.5 * casimir_scale(grid.n) * killing_inverse_diagonal(grid.n)) * np.sum(
-        np.abs(z) ** 2
-    )
-    if abs(value.imag) > 1e-14 * max(scale, 1e-300):
-        raise ConsistencyError("quadratic Casimir acquired an imaginary part")
-    casimir = float(value.real)
+    prefactor = 0.5 * casimir_scale(grid.n) * killing_inverse_diagonal(grid.n)
+    value = prefactor * np.sum(z * z[grid.neg_index])
+    casimir = _real(value, abs(prefactor) * np.sum(np.abs(z) ** 2), "quadratic Casimir")
     reference = enstrophy(field)
     if abs(casimir - reference) > 1e-12 * max(abs(reference), 1e-300):
         raise ConsistencyError(

@@ -19,13 +19,13 @@ the same configuration and seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy as np
 
 from .dynamics import (
     IntegratorConfig,
@@ -38,6 +38,8 @@ from .errors import ConsistencyError, StepConvergenceError, ValidationError
 from .grid import ModeField, build_grid, from_physical
 from .serialization import (
     load_physical_field,
+    load_wave_vector_pairs,
+    save_convergence_table,
     save_diagnostics,
     save_mode_field,
     save_violations,
@@ -65,6 +67,14 @@ DEFAULT_CONVERGENCE_PAIRS = (
 )
 
 
+def _integer(raw: dict, key: str, default: int | None = None) -> int:
+    """``raw[key]``, or ``default`` if absent, as an int; bools and fractions are refused."""
+    value = raw[key] if default is None else raw.get(key, default)
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed simulation configuration with defaults filled in.
@@ -85,13 +95,14 @@ class RunConfig:
     @classmethod
     def from_mapping(cls, raw: dict) -> "RunConfig":
         try:
+            steps = _integer(raw, "steps")
             return cls(
-                n=int(raw["n"]),
+                n=_integer(raw, "n"),
                 scheme=str(raw.get("scheme", "rk4")),
                 dt=float(raw["dt"]),
-                steps=int(raw["steps"]),
-                record_every=int(raw.get("record_every", max(1, int(raw["steps"]) // 10))),
-                seed=int(raw.get("seed", 0)),
+                steps=steps,
+                record_every=_integer(raw, "record_every", max(1, steps // 10)),
+                seed=_integer(raw, "seed", 0),
                 initial_condition=dict(raw.get("initial_condition", {"type": "shell"})),
                 out_dir=str(raw.get("out_dir", ".")),
             )
@@ -107,27 +118,29 @@ def _build_initial_condition(config: RunConfig) -> ModeField:
     spec = config.initial_condition
     kind = spec.get("type", "shell")
     if kind == "shell":
-        return random_shell_field(
+        field = random_shell_field(
             grid,
             seed=config.seed,
             shell_min=float(spec.get("shell_min", 1.0)),
             shell_max=float(spec.get("shell_max", 4.0)),
             amplitude=float(spec.get("amplitude", 1.0)),
         )
-    if kind == "modes":
-        modes = {}
-        for row in spec.get("modes", ()):
-            i1, i2, re, im = row
-            modes[(int(i1), int(i2))] = complex(float(re), float(im))
+    elif kind == "modes":
+        rows = spec.get("modes", ())
+        modes = {(int(i1), int(i2)): complex(float(re), float(im)) for i1, i2, re, im in rows}
         if not modes:
             raise ValidationError("mode-list initial condition is empty")
-        return ModeField.from_modes(grid, modes)
-    if kind == "physical_csv":
+        field = ModeField.from_modes(grid, modes)
+    elif kind == "physical_csv":
         path = spec.get("path")
         if not path:
             raise ValidationError("physical_csv initial condition needs a path")
-        return from_physical(load_physical_field(path), grid)
-    raise ValidationError(f"unknown initial-condition type {kind!r}")
+        field = from_physical(load_physical_field(path), grid)
+    else:
+        raise ValidationError(f"unknown initial-condition type {kind!r}")
+    if not np.isfinite(field.coeffs).all():
+        raise ValidationError(f"{kind} initial condition has non-finite coefficients")
+    return field
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -237,27 +250,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 
-def _load_pairs_file(path: str) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    pairs = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            if row[0].strip().lower() in ("i1", "i"):  # optional header
-                continue
-            if len(row) != 4:
-                raise ValidationError(f"expected i1,i2,j1,j2 rows, got {row!r}")
-            i1, i2, j1, j2 = (int(x) for x in row)
-            pairs.append(((i1, i2), (j1, j2)))
-    if not pairs:
-        raise ValidationError(f"no wave-vector pairs in {path}")
-    return pairs
-
-
 def cmd_converge(args: argparse.Namespace) -> int:
     try:
         if args.pairs is not None:
-            pairs = _load_pairs_file(args.pairs)
+            pairs = load_wave_vector_pairs(args.pairs)
         else:
             pairs = list(DEFAULT_CONVERGENCE_PAIRS)
         n_list = tuple(int(x) for x in args.n_list.split(","))
@@ -269,24 +265,8 @@ def cmd_converge(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table = out / "convergence.csv"
+    save_convergence_table(table, report)
     sizes = report.params["n_list"]
-    with open(table, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["i1", "i2", "j1", "j2"]
-            + [f"err_{n}" for n in sizes]
-            + [f"bracket_diff_{n}" for n in sizes]
-            + ["exponent"]
-        )
-        for row in report.params["pairs"]:
-            (i1, i2), (j1, j2) = row["pair"]
-            exponent = "" if row["exponent"] is None else repr(row["exponent"])
-            writer.writerow(
-                [i1, i2, j1, j2]
-                + [repr(row["errors"][str(n)]) for n in sizes]
-                + [repr(row["bracket_diffs"][str(n)]) for n in sizes]
-                + [exponent]
-            )
     meta = {"command": "converge", "pairs": [list(map(list, p)) for p in pairs], "n_list": list(sizes)}
     write_metadata(table, meta, report.params["seed"])
     for row in report.params["pairs"]:
@@ -341,7 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, required=True, help="truncation size (odd)")
     p_verify.add_argument("--seed", type=int, default=0)
     group = p_verify.add_mutually_exclusive_group()
-    group.add_argument("--all", action="store_true", help="identity suite plus counterexample")
+    group.add_argument(
+        "--all", action="store_true", help="identity suite plus counterexample (the default)"
+    )
     group.add_argument(
         "--counterexample", action="store_true", help="only the six-index counterexample"
     )

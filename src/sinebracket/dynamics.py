@@ -58,8 +58,9 @@ from .grid import (
     TWO_PI,
     ModeField,
     TruncationGrid,
-    _energy,
-    _enstrophy,
+    _invariants,
+    _quadratic_sum,
+    _quadratic_terms,
     _wrap_index,
     _wrapped,
     energy,  # noqa: F401  (perfbench/spans.py traces the diagnostics under these names)
@@ -92,8 +93,7 @@ def _quadratic_functional(
     """
 
     def value(field: ModeField) -> complex:
-        z = field.coeffs
-        return complex(0.5 * TWO_PI**2 * np.sum(weights * z * z[grid.neg_index]))
+        return complex(_quadratic_sum(field, weights))
 
     return Functional(value, lambda field: gradient(grid, field), name=name)
 
@@ -350,17 +350,15 @@ _GUESS_WEIGHTS = [
 ]
 
 
+def _drift(value: float, initial: float) -> float:
+    """Relative change from a nonzero initial value, absolute from zero."""
+    return abs(value - initial) / max(abs(initial), 1e-300) if initial != 0.0 else abs(value)
+
+
 def _record(state: SimState, h0: float, e0: float) -> DiagnosticsRecord:
     # integrate() has validated the field's reality at its own tolerance.
-    h = _energy(state.field)
-    e = _enstrophy(state.field)
-    return DiagnosticsRecord(
-        time=state.time,
-        energy=h,
-        enstrophy=e,
-        drift_energy=abs(h - h0) / max(abs(h0), 1e-300) if h0 != 0.0 else abs(h),
-        drift_enstrophy=abs(e - e0) / max(abs(e0), 1e-300) if e0 != 0.0 else abs(e),
-    )
+    h, e = _invariants(state.field)
+    return DiagnosticsRecord(state.time, h, e, _drift(h, h0), _drift(e, e0))
 
 
 def integrate(
@@ -380,8 +378,7 @@ def integrate(
     the diagnostics series, the input state is left untouched.
     """
     validate_reality(state.field, tol=1e-10)
-    h0 = _energy(state.field)
-    e0 = _enstrophy(state.field)
+    h0, e0 = _invariants(state.field)
     records = [_record(state, h0, e0)]
     current = SimState(state.time, state.field.copy())
     counts = RhsCounts() if counts is None else counts
@@ -464,10 +461,7 @@ def single_pair_field(grid: TruncationGrid, v, amplitude: complex = 1.0) -> Mode
 
 def shell_energies(field: ModeField) -> dict[int, float]:
     """Energy per squared wave number |k|^2; diagnostic helper."""
-    grid = field.grid
-    z = field.coeffs
-    contributions = 0.5 * TWO_PI**2 * (z * z[grid.neg_index]).real / grid.norms2
-    out: dict[int, float] = {}
-    for k2 in np.unique(grid.norms2):
-        out[int(k2)] = float(np.sum(contributions[grid.norms2 == k2]))
-    return out
+    norms2 = field.grid.norms2
+    shells, which = np.unique(norms2, return_inverse=True)
+    terms = _quadratic_terms(field, 1.0 / norms2).real
+    return dict(zip(shells.tolist(), (0.5 * TWO_PI**2 * np.bincount(which, terms)).tolist()))

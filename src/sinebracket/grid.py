@@ -23,7 +23,7 @@ both real and nonnegative under the reality condition.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -116,17 +116,13 @@ class TruncationGrid:
 
     def contains(self, v) -> bool:
         v = _as_wave_vector(v)
-        if v == (0, 0):
-            return False
-        return abs(v.i1) <= self.half and abs(v.i2) <= self.half
+        return v != (0, 0) and abs(v.i1) <= self.half and abs(v.i2) <= self.half
 
     def index_of(self, v) -> int:
         v = _as_wave_vector(v)
         if not self.contains(v):
             raise ValueError(f"wave vector {tuple(v)} is not in the retained set for n={self.n}")
-        flat = (v.i1 + self.half) * self.n + (v.i2 + self.half)
-        origin = (self.n * self.n - 1) // 2
-        return flat if flat < origin else flat - 1
+        return int(self.offset_table[v.i1 + self.half, v.i2 + self.half])
 
     def vector_at(self, index: int) -> WaveVector:
         if not 0 <= index < self.size:
@@ -150,6 +146,7 @@ class _GridTables(NamedTuple):
     norms2: np.ndarray
     neg_index: np.ndarray
     offset_table: np.ndarray
+    invariant_weights: np.ndarray  # rows 1/|k|^2 and 1, the weights of H and E
 
 
 @functools.lru_cache(maxsize=None)
@@ -171,7 +168,9 @@ def _grid_tables(n: int) -> _GridTables:
     neg_index = offset_table[-vectors[:, 0] + m, -vectors[:, 1] + m]
     neg_index.setflags(write=False)
 
-    return _GridTables(vectors, norms2, neg_index, offset_table)
+    invariant_weights = np.stack([1.0 / norms2, np.ones(len(vectors))])
+    invariant_weights.setflags(write=False)
+    return _GridTables(vectors, norms2, neg_index, offset_table, invariant_weights)
 
 
 def build_grid(n: int) -> TruncationGrid:
@@ -190,12 +189,9 @@ class ModeField:
     """
 
     grid: TruncationGrid
-    coeffs: np.ndarray = dataclass_field(default=None)  # type: ignore[assignment]
+    coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.coeffs is None:
-            self.coeffs = np.zeros(self.grid.size, dtype=np.complex128)
-            return
         coeffs = np.asarray(self.coeffs, dtype=np.complex128)
         if coeffs.shape != (self.grid.size,):
             raise ValidationError(
@@ -205,7 +201,7 @@ class ModeField:
 
     @classmethod
     def zeros(cls, grid: TruncationGrid) -> "ModeField":
-        return cls(grid)
+        return cls(grid, np.zeros(grid.size, dtype=np.complex128))
 
     @classmethod
     def from_modes(cls, grid: TruncationGrid, modes: Mapping) -> "ModeField":
@@ -215,14 +211,11 @@ class ModeField:
         unless the mapping provides it explicitly, so the result satisfies
         the reality condition by construction.
         """
+        index = np.array([grid.index_of(v) for v in modes], dtype=np.int64)
+        values = np.array(list(modes.values()), dtype=np.complex128)
         out = cls.zeros(grid)
-        explicit = {grid.index_of(v) for v in modes}
-        for v, c in modes.items():
-            idx = grid.index_of(v)
-            out.coeffs[idx] = c
-            mirror = grid.neg_index[idx]
-            if mirror not in explicit:
-                out.coeffs[mirror] = np.conj(c)
+        out.coeffs[grid.neg_index[index]] = np.conj(values)
+        out.coeffs[index] = values  # explicit values win over mirrors
         return out
 
     def get(self, v) -> complex:
@@ -256,39 +249,45 @@ def validate_reality(field: ModeField, tol: float = REALITY_TOL) -> float:
     return residual
 
 
-def _real_quadratic_sum(field: ModeField, weights: np.ndarray, label: str) -> float:
-    """(2pi)^2/2 * sum_k w_k zeta_hat(k) zeta_hat(-k), checked to be real."""
+def _quadratic_terms(field: ModeField, weights: np.ndarray) -> np.ndarray:
+    """w_k zeta_hat(k) zeta_hat(-k) for every mode and each row of ``weights``."""
     z = field.coeffs
-    total = 0.5 * TWO_PI**2 * np.sum(weights * z * z[field.grid.neg_index])
-    scale = 0.5 * TWO_PI**2 * np.sum(np.abs(weights) * np.abs(z) ** 2)
-    if abs(total.imag) > IMAG_RESIDUE_TOL * max(scale, 1e-300):
+    return weights * z * z[field.grid.neg_index]
+
+
+def _quadratic_sum(field: ModeField, weights: np.ndarray):
+    """(2pi)^2/2 * sum_k w_k zeta_hat(k) zeta_hat(-k) per row of ``weights``, unchecked."""
+    return 0.5 * TWO_PI**2 * np.sum(_quadratic_terms(field, weights), axis=-1)
+
+
+def _real(value: complex, scale: float, label: str) -> float:
+    """``value.real``, once ``|value.imag|`` is within IMAG_RESIDUE_TOL of ``scale``."""
+    if abs(value.imag) > IMAG_RESIDUE_TOL * max(scale, 1e-300):
         raise ConsistencyError(
-            f"{label} acquired an imaginary part {total.imag:.3e} (scale {scale:.3e}); "
+            f"{label} acquired an imaginary part {value.imag:.3e} (scale {scale:.3e}); "
             "the input field is not conjugate-symmetric"
         )
-    return float(total.real)
+    return float(value.real)
 
 
-def _energy(field: ModeField) -> float:
-    """:func:`energy` of a field whose reality the caller has validated."""
-    return _real_quadratic_sum(field, 1.0 / field.grid.norms2, "energy")
-
-
-def _enstrophy(field: ModeField) -> float:
-    """:func:`enstrophy` of a field whose reality the caller has validated."""
-    return _real_quadratic_sum(field, np.ones(field.grid.size), "enstrophy")
+def _invariants(field: ModeField) -> tuple[float, float]:
+    """(H, E) of a field whose reality the caller has validated."""
+    weights = _grid_tables(field.grid.n).invariant_weights
+    h, e = _quadratic_sum(field, weights)
+    scale_h, scale_e = 0.5 * TWO_PI**2 * (weights @ np.abs(field.coeffs) ** 2)
+    return _real(h, scale_h, "energy"), _real(e, scale_e, "enstrophy")
 
 
 def energy(field: ModeField) -> float:
     """Kinetic energy (2pi)^2/2 * sum_k |k|^-2 zeta_hat(k) zeta_hat(-k)."""
     validate_reality(field)
-    return _energy(field)
+    return _invariants(field)[0]
 
 
 def enstrophy(field: ModeField) -> float:
     """Enstrophy (2pi)^2/2 * sum_k zeta_hat(k) zeta_hat(-k)."""
     validate_reality(field)
-    return _enstrophy(field)
+    return _invariants(field)[1]
 
 
 def stream_function(field: ModeField) -> ModeField:

@@ -19,6 +19,7 @@ from .algebra import ViolationTable
 from .dynamics import DiagnosticsRecord
 from .errors import ValidationError
 from .grid import ModeField, build_grid
+from .verify import CheckReport
 
 __all__ = [
     "save_mode_field",
@@ -29,6 +30,8 @@ __all__ = [
     "load_diagnostics",
     "save_violations",
     "load_generic_constants",
+    "load_wave_vector_pairs",
+    "save_convergence_table",
     "write_json",
     "config_hash",
     "write_metadata",
@@ -45,14 +48,34 @@ def _open_write(path):
     return open(path, "w", encoding="utf-8", newline="")
 
 
+def _write_rows(fh, header, rows) -> None:
+    """The header line, if any, then one line per row of ints and floats (``None`` empty)."""
+    if header:
+        fh.write(",".join(header) + "\n")
+    fh.writelines(",".join("" if x is None else repr(x) for x in row) + "\n" for row in rows)
+
+
+def _read_rows(path, header: Sequence[str], what: str) -> list[list[str]]:
+    """Non-empty rows, each ``len(header)`` wide; a row starting ``i`` or ``i1`` is a header."""
+    rows = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        for row in csv.reader(fh):
+            if not row or row[0].strip().lower() in ("i", "i1"):
+                continue
+            if len(row) != len(header):
+                raise ValidationError(f"{path}: expected {','.join(header)} rows, got {row!r}")
+            rows.append(row)
+    if not rows:
+        raise ValidationError(f"{path}: no {what} found")
+    return rows
+
+
 def save_mode_field(path, field: ModeField) -> None:
     """One row per retained mode, canonical row-major order."""
+    z = field.coeffs
+    rows = zip(*field.grid.vectors.T.tolist(), z.real.tolist(), z.imag.tolist())
     with _open_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MODE_FIELD_HEADER)
-        for idx, v in enumerate(field.grid):
-            z = field.coeffs[idx]
-            writer.writerow([v.i1, v.i2, repr(float(z.real)), repr(float(z.imag))])
+        _write_rows(fh, MODE_FIELD_HEADER, rows)
 
 
 def load_mode_field(path) -> ModeField:
@@ -86,9 +109,7 @@ def save_physical_field(path, values: np.ndarray) -> None:
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValidationError(f"physical field must be square, got shape {values.shape}")
     with _open_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in values:
-            writer.writerow([repr(float(x)) for x in row])
+        _write_rows(fh, None, values.tolist())
 
 
 def load_physical_field(path) -> np.ndarray:
@@ -101,19 +122,9 @@ def load_physical_field(path) -> np.ndarray:
 
 
 def save_diagnostics(path, records: Sequence[DiagnosticsRecord]) -> None:
+    rows = ((r.time, r.energy, r.enstrophy, r.drift_energy, r.drift_enstrophy) for r in records)
     with _open_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DIAGNOSTICS_HEADER)
-        for r in records:
-            writer.writerow(
-                [
-                    repr(float(r.time)),
-                    repr(float(r.energy)),
-                    repr(float(r.enstrophy)),
-                    repr(float(r.drift_energy)),
-                    repr(float(r.drift_enstrophy)),
-                ]
-            )
+        _write_rows(fh, DIAGNOSTICS_HEADER, (map(float, row) for row in rows))
 
 
 def load_diagnostics(path) -> list[DiagnosticsRecord]:
@@ -122,9 +133,7 @@ def load_diagnostics(path) -> list[DiagnosticsRecord]:
         header = tuple(next(reader, ()))
         if header != DIAGNOSTICS_HEADER:
             raise ValidationError(f"unexpected diagnostics header {header!r} in {path}")
-        return [
-            DiagnosticsRecord(*(float(x) for x in row)) for row in reader if row
-        ]
+        return [DiagnosticsRecord(*map(float, row)) for row in reader if row]
 
 
 #: Rows joined into one string per write in :func:`save_violations`.
@@ -148,7 +157,7 @@ def save_violations(path, violations: ViolationTable) -> None:
     suffix = np.array([repr(x) + "\n" for x in values.tolist()], dtype=object)
     first, second = violations.first, violations.second
     with _open_write(path) as fh:
-        fh.write(",".join(VIOLATIONS_HEADER) + "\n")
+        _write_rows(fh, VIOLATIONS_HEADER, ())
         for start in range(0, len(violations), _VIOLATION_BLOCK):
             block = slice(start, start + _VIOLATION_BLOCK)
             rows = prefix[first[block]] + prefix[second[block]] + suffix[which[block]]
@@ -161,19 +170,10 @@ def load_generic_constants(path) -> np.ndarray:
     Indices are 0-based basis labels; the dimension is one past the
     largest index seen.
     """
-    entries: list[tuple[int, int, int, float]] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row:
-                continue
-            if row[0].strip().lower() in ("i", "i1"):  # optional header
-                continue
-            if len(row) != 4:
-                raise ValidationError(f"{path}: expected i,j,k,value rows, got {row!r}")
-            entries.append((int(row[0]), int(row[1]), int(row[2]), float(row[3])))
-    if not entries:
-        raise ValidationError(f"{path}: no structure constants found")
+    entries = [
+        (int(i), int(j), int(k), float(value))
+        for i, j, k, value in _read_rows(path, ("i", "j", "k", "value"), "structure constants")
+    ]
     dim = 1 + max(max(i, j, k) for i, j, k, _ in entries)
     alpha = np.zeros((dim, dim, dim))
     for i, j, k, value in entries:
@@ -181,6 +181,32 @@ def load_generic_constants(path) -> np.ndarray:
             raise ValidationError(f"{path}: negative basis index in ({i}, {j}, {k})")
         alpha[i, j, k] = value
     return alpha
+
+
+def load_wave_vector_pairs(path) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Wave-vector pairs ((i1, i2), (j1, j2)) from i1,i2,j1,j2 rows."""
+    rows = _read_rows(path, ("i1", "i2", "j1", "j2"), "wave-vector pairs")
+    return [((int(i1), int(i2)), (int(j1), int(j2))) for i1, i2, j1, j2 in rows]
+
+
+def save_convergence_table(path, report: CheckReport) -> None:
+    """Per pair: error and bracket difference at each n, exponent (empty if collinear)."""
+    sizes = report.params["n_list"]
+    header = (
+        ["i1", "i2", "j1", "j2"]
+        + [f"err_{n}" for n in sizes]
+        + [f"bracket_diff_{n}" for n in sizes]
+        + ["exponent"]
+    )
+    rows = (
+        [*row["pair"][0], *row["pair"][1]]
+        + [row["errors"][str(n)] for n in sizes]
+        + [row["bracket_diffs"][str(n)] for n in sizes]
+        + [row["exponent"]]
+        for row in report.params["pairs"]
+    )
+    with _open_write(path) as fh:
+        _write_rows(fh, header, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -156,10 +156,42 @@ def test_run_usage_errors(tmp_path):
         {"n": 8},
         {"initial_condition": {"type": "vortex"}},
         {"initial_condition": {"type": "modes", "modes": []}},
+        # integer fields are refused, not truncated, when not integral
+        {"n": 7.9},
+        {"steps": 2.7},
+        {"steps": True},
+        {"record_every": 1.5},
+        {"seed": 2.5},
+        {"n": float("inf")},
     ):
         cfg_path, _ = _write_config(tmp_path, **overrides)
         assert main(["run", "--config", str(cfg_path)]) == EXIT_USAGE, overrides
         assert not (tmp_path / "out").exists(), overrides
+
+
+def test_run_config_accepts_integral_floats():
+    config = RunConfig.from_mapping({"n": 7.0, "dt": 1e-3, "steps": 1e3, "seed": 3.0})
+    assert (config.n, config.steps, config.record_every, config.seed) == (7, 1000, 100, 3)
+    assert all(type(v) is int for v in (config.n, config.steps, config.record_every, config.seed))
+
+
+def test_run_non_finite_initial_condition_is_usage_error(tmp_path, capsys):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("\n".join(",".join(["0.5"] * 7) for _ in range(7)).replace("0.5", "nan", 1))
+    for spec in (
+        {"type": "shell", "amplitude": "nan"},
+        {"type": "modes", "modes": [[1, 0, "inf", 0]]},
+        {"type": "physical_csv", "path": str(samples)},
+    ):
+        cfg_path, _ = _write_config(tmp_path, initial_condition=spec)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", str(cfg_path)]) == EXIT_USAGE, spec
+        assert not caught, spec
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), spec
+        assert "non-finite" in err and "integration failed" not in err, spec
+        assert not (tmp_path / "out").exists(), spec
 
 
 def test_run_accepts_negative_dt_and_zero_steps(tmp_path):

@@ -209,6 +209,19 @@ def test_integrate_records_initial_and_final():
     assert np.array_equal(field.coeffs, _band_field(grid, seed=4, amplitude=1.0).coeffs)
 
 
+def test_record_invariants_equal_energy_and_enstrophy_bitwise():
+    # diagnostics.csv holds exactly what energy() and enstrophy() return
+    for n in (5, 21, 41):
+        grid = build_grid(n)
+        field = random_shell_field(grid, seed=n, shell_max=float(n), amplitude=6.0)
+        validate_reality(field)
+        record = dynamics._record(SimState(0.25, field), 2.0, 0.0)
+        h, e = energy(field), enstrophy(field)
+        assert (record.energy.hex(), record.enstrophy.hex()) == (h.hex(), e.hex())
+        assert record.drift_energy == abs(h - 2.0) / 2.0  # relative to a nonzero start
+        assert record.drift_enstrophy == e  # absolute from a zero start
+
+
 def test_integrate_zero_steps_is_identity():
     grid = build_grid(5)
     field = _band_field(grid, seed=6, amplitude=1.0)

@@ -1,6 +1,7 @@
 """CSV and JSON round trips, canonical-order enforcement, metadata sidecars."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -10,13 +11,16 @@ import sinebracket
 from sinebracket.algebra import DenseNambuTensor, SineNambuTensor, scan_gen_jacobi
 from sinebracket.dynamics import DiagnosticsRecord, random_shell_field
 from sinebracket.errors import ValidationError
-from sinebracket.grid import build_grid
+from sinebracket.verify import CheckReport
+from sinebracket.grid import ModeField, build_grid
 from sinebracket.serialization import (
     config_hash,
     load_diagnostics,
     load_generic_constants,
     load_mode_field,
     load_physical_field,
+    load_wave_vector_pairs,
+    save_convergence_table,
     save_diagnostics,
     save_mode_field,
     save_physical_field,
@@ -175,6 +179,79 @@ def test_load_generic_constants_rejects_bad_rows(tmp_path):
     empty.write_text("")
     with pytest.raises(ValidationError):
         load_generic_constants(empty)
+
+
+def test_load_wave_vector_pairs(tmp_path):
+    path = tmp_path / "pairs.csv"
+    path.write_text("i1,i2,j1,j2\n1,0,0,1\n\n-1,2,2,1\n")
+    assert load_wave_vector_pairs(path) == [((1, 0), (0, 1)), ((-1, 2), (2, 1))]
+    path.write_text("1,0,0\n")
+    with pytest.raises(ValidationError, match="i1,i2,j1,j2"):
+        load_wave_vector_pairs(path)
+    path.write_text("i1,i2,j1,j2\n")
+    with pytest.raises(ValidationError, match="no wave-vector pairs"):
+        load_wave_vector_pairs(path)
+
+
+# ---------------------------------------------------------------------------
+# pinned bytes of every CSV writer, on literal inputs
+# ---------------------------------------------------------------------------
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_mode_field_bytes_are_pinned(tmp_path):
+    field = ModeField.from_modes(
+        build_grid(3),
+        {(1, 0): complex(-0.0, 1e-300), (0, 1): complex(1 / 3, -2.5), (1, -1): complex(1e300, 0.0)},
+    )
+    path = tmp_path / "state.csv"
+    save_mode_field(path, field)
+    assert _sha256(path) == "f9123fc054c77b51c8aa3b346ccba38884c4876095cb364769108fd9793af405"
+
+
+def test_diagnostics_bytes_are_pinned(tmp_path):
+    records = [
+        DiagnosticsRecord(0.0, 1.25, 2.5, 0.0, 0.0),
+        DiagnosticsRecord(0.001, 1 / 3, 2.5000000000000004, 1e-300, 5e-324),
+        DiagnosticsRecord(-0.002, 123456789.0, 1e22, 2.220446049250313e-16, -0.0),
+    ]
+    path = tmp_path / "diagnostics.csv"
+    save_diagnostics(path, records)
+    assert _sha256(path) == "c05eb1d2de8ee73323f81077c241c81254d370456e13d5ae1c789b2693b7cef4"
+
+
+def test_physical_field_bytes_are_pinned(tmp_path):
+    values = np.array([[0.0, -0.0, 1 / 3], [1e-300, -2.5, 1e16], [3.0, 0.1, -7.25]])
+    path = tmp_path / "samples.csv"
+    save_physical_field(path, values)
+    assert _sha256(path) == "519397b711dfe89b9721c780828718f080d3aad713b5a8749cbfb6b4997c509b"
+
+
+def test_convergence_table_bytes_are_pinned(tmp_path):
+    def row(pair, errors, diffs, exponent):
+        return {
+            "pair": pair,
+            "collinear": exponent is None,
+            "errors": dict(zip(("11", "21"), errors)),
+            "bracket_diffs": dict(zip(("11", "21"), diffs)),
+            "exponent": exponent,
+        }
+
+    pairs = [
+        row([[1, 0], [0, 1]], (0.0123, 1 / 3000), (1e-17, 0.0), 1.9999999999999998),
+        row([[1, 1], [-1, 2]], (5e-324, -0.0), (2.5, 1e300), 2.0),
+        row([[1, 0], [2, 0]], (0.0, 0.0), (0.0, 0.0), None),  # collinear: no exponent
+    ]
+    report = CheckReport(
+        "convergence", {"n_list": [11, 21], "seed": 7, "pairs": pairs}, 0.0, 0.2, True, 0.0
+    )
+    path = tmp_path / "convergence.csv"
+    save_convergence_table(path, report)
+    assert path.read_text().splitlines()[-1] == "1,0,2,0,0.0,0.0,0.0,0.0,"
+    assert _sha256(path) == "826871fc0b5c01779db4a7e4f7c61f98193f17ea06b7f73eebb53af6cf334997"
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,8 @@ from .dynamics import (
     hamiltonian_functional,
     hamiltonian_gradient,
     integrate,
+    lift,
+    lower,
     random_shell_field,
     rhs_fast,
     rhs_from_lie_poisson,

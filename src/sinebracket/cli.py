@@ -75,6 +75,17 @@ def _integer(raw: dict, key: str, default: int | None = None) -> int:
     return int(value)
 
 
+def _real(raw: dict, key: str, default: float | None = None) -> float:
+    """``raw[key]``, or ``default`` if absent, as a float; bools and non-numbers are refused."""
+    value = raw[key] if default is None else raw.get(key, default)
+    try:
+        if not isinstance(value, bool):
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{key} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed simulation configuration with defaults filled in.
@@ -99,7 +110,7 @@ class RunConfig:
             return cls(
                 n=_integer(raw, "n"),
                 scheme=str(raw.get("scheme", "rk4")),
-                dt=float(raw["dt"]),
+                dt=_real(raw, "dt"),
                 steps=steps,
                 record_every=_integer(raw, "record_every", max(1, steps // 10)),
                 seed=_integer(raw, "seed", 0),
@@ -121,9 +132,9 @@ def _build_initial_condition(config: RunConfig) -> ModeField:
         field = random_shell_field(
             grid,
             seed=config.seed,
-            shell_min=float(spec.get("shell_min", 1.0)),
-            shell_max=float(spec.get("shell_max", 4.0)),
-            amplitude=float(spec.get("amplitude", 1.0)),
+            shell_min=_real(spec, "shell_min", 1.0),
+            shell_max=_real(spec, "shell_max", 4.0),
+            amplitude=_real(spec, "amplitude", 1.0),
         )
     elif kind == "modes":
         rows = spec.get("modes", ())
@@ -206,6 +217,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "rhs_calls_per_step": counts.per_step,
         "rhs_calls_max_step": counts.max_per_step,
         "wall_time_s": wall,
+        "steps_per_s": config.steps / wall if config.steps else 0.0,
     }
     write_json(paths["summary"], summary)
     for p in paths.values():

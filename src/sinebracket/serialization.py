@@ -128,12 +128,22 @@ def save_diagnostics(path, records: Sequence[DiagnosticsRecord]) -> None:
 
 
 def load_diagnostics(path) -> list[DiagnosticsRecord]:
+    records = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = tuple(next(reader, ()))
         if header != DIAGNOSTICS_HEADER:
             raise ValidationError(f"unexpected diagnostics header {header!r} in {path}")
-        return [DiagnosticsRecord(*map(float, row)) for row in reader if row]
+        for row in reader:
+            if not row:
+                continue
+            try:
+                if len(row) != len(DIAGNOSTICS_HEADER):
+                    raise ValueError(f"expected {len(DIAGNOSTICS_HEADER)} columns, got {len(row)}")
+                records.append(DiagnosticsRecord(*map(float, row)))
+            except ValueError as exc:
+                raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from exc
+    return records
 
 
 #: Rows joined into one string per write in :func:`save_violations`.

@@ -4,8 +4,11 @@
 run when one is missing; this pins that contract in the fast suite.
 """
 
+import contextlib
 import importlib.util
 import inspect
+import io
+import json
 from pathlib import Path
 
 import pytest
@@ -44,19 +47,54 @@ def test_stepping_defaults_to_rhs_fast():
 
 def test_rhs_fast_reaches_each_traced_layer(monkeypatch):
     # The tracer times wrap, to-Weyl and from-Weyl by patching these module
-    # globals, so rhs_fast must keep looking them up there.
+    # globals, so rhs_fast must keep looking them up there.  It steps the
+    # lifted matrix, so the wrap belongs to the lift, once per run.
+    grid = sinebracket.build_grid(9)
+    w = dynamics.lift(dynamics.random_shell_field(grid, seed=0))
     calls = {"_wrapped": 0, "_to_weyl_matrix": 0, "_from_weyl_matrix": 0}
     for name in calls:
         original = getattr(dynamics, name)
 
-        def counting(*args, _name=name, _original=original):
+        def counting(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
-            return _original(*args)
+            return _original(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, name, counting)
-    grid = sinebracket.build_grid(9)
-    dynamics.rhs_fast(grid, dynamics.random_shell_field(grid, seed=0))
-    assert calls == {"_wrapped": 1, "_to_weyl_matrix": 2, "_from_weyl_matrix": 1}
+    dynamics.rhs_fast(grid, w)
+    assert calls == {"_wrapped": 0, "_to_weyl_matrix": 1, "_from_weyl_matrix": 1}
+
+
+def _run_config(tmp_path, name, **settings):
+    config = {
+        "n": 9, "dt": 1e-3, "steps": 6, "record_every": 3, "seed": 1, "out_dir": str(tmp_path / name),
+        "initial_condition": {"type": "shell", "shell_min": 1.0, "shell_max": 4.0, "amplitude": 2.0},
+        **settings,
+    }
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return ["run", "--config", str(path)]
+
+
+def test_every_measured_span_fires_on_its_workloads(tmp_path):
+    # What perfbench --trace 1 needs, at small sizes: each measured span
+    # that targets a workload fires on a run of that workload's kind.
+    spans = _load_spans()
+    cases = [
+        ("run-rk4-n161", _run_config(tmp_path, "rk4")),
+        ("run-midpoint-n21", _run_config(tmp_path, "midpoint", scheme="implicit_midpoint")),
+        ("verify-n15", ["verify", "--n", "5", "--all", "--out", str(tmp_path / "verify.json")]),
+    ]
+    tracer = spans.Tracer(sinebracket)
+    tracer.install(spans.MEASURED_SPANS)
+    try:
+        for workload, argv in cases:
+            tracer.reset()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert sinebracket.cli.main(argv) == 0, workload
+            assert tracer.silent(spans.MEASURED_SPANS, workload) == [], workload
+    finally:
+        tracer.uninstall()
+    assert dynamics.step.__defaults__[0] is dynamics.rhs_fast  # uninstalled
 
 
 def test_identity_suite_reports_each_traced_helper(monkeypatch):

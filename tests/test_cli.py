@@ -169,6 +169,32 @@ def test_run_usage_errors(tmp_path):
         assert not (tmp_path / "out").exists(), overrides
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("dt", True), ("amplitude", True), ("shell_min", None), ("shell_max", "wide"), ("dt", [1e-3])],
+)
+def test_run_refuses_non_numeric_real_fields(tmp_path, capsys, key, value):
+    # a boolean once ran as 1.0 and exited 0
+    if key == "dt":
+        cfg_path, _ = _write_config(tmp_path, dt=value)
+    else:
+        cfg_path, _ = _write_config(tmp_path, initial_condition={"type": "shell", key: value})
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and f"{key} must be a number, got {value!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_summary_reports_steps_per_second(tmp_path):
+    cfg_path, config = _write_config(tmp_path)
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["steps_per_s"] == config["steps"] / summary["wall_time_s"] > 0.0
+    cfg_path, _ = _write_config(tmp_path, steps=0)
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+    assert json.loads((tmp_path / "out" / "summary.json").read_text())["steps_per_s"] == 0.0
+
+
 def test_run_config_accepts_integral_floats():
     config = RunConfig.from_mapping({"n": 7.0, "dt": 1e-3, "steps": 1e3, "seed": 3.0})
     assert (config.n, config.steps, config.record_every, config.seed) == (7, 1000, 100, 3)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +19,8 @@ from sinebracket.dynamics import (
     hamiltonian_functional,
     hamiltonian_gradient,
     integrate,
+    lift,
+    lower,
     random_shell_field,
     rhs_fast,
     rhs_from_lie_poisson,
@@ -32,7 +35,14 @@ from sinebracket.grid import ModeField, _wrapped, build_grid, energy, enstrophy,
 
 TWO_PI = 2.0 * math.pi
 
-ALL_ROUTES = (rhs_naive, rhs_nambu, rhs_from_lie_poisson, rhs_fast)
+
+
+def _rhs_fast_modes(grid, field):
+    """rhs_fast steps the Hermitian matrix; compare it in modes."""
+    return lower(rhs_fast(grid, lift(field)))
+
+
+ALL_ROUTES = (rhs_naive, rhs_nambu, rhs_from_lie_poisson, _rhs_fast_modes)
 
 
 def _band_field(grid, seed, amplitude=3.0):
@@ -102,7 +112,7 @@ def test_rhs_routes_agree(n):
 def test_rhs_fast_matches_naive_large_truncation():
     grid = build_grid(33)
     field = random_shell_field(grid, seed=5, shell_max=20.0, amplitude=2.0)
-    fast = rhs_fast(grid, field).coeffs
+    fast = _rhs_fast_modes(grid, field).coeffs
     naive = rhs_naive(grid, field).coeffs
     assert np.max(np.abs(fast - naive)) <= 1e-10 * np.max(np.abs(naive))
 
@@ -110,7 +120,7 @@ def test_rhs_fast_matches_naive_large_truncation():
 def test_tendency_is_real_spectrum():
     grid = build_grid(9)
     field = _band_field(grid, seed=3)
-    validate_reality(rhs_fast(grid, field))
+    validate_reality(_rhs_fast_modes(grid, field))
     validate_reality(rhs_naive(grid, field))
 
 
@@ -124,9 +134,31 @@ def _random_real_field(grid, seed):
 def test_rhs_fast_tendency_is_exactly_real(n):
     grid = build_grid(n)
     for seed in range(2):
-        tendency = rhs_fast(grid, _random_real_field(grid, seed))
+        w = lift(_random_real_field(grid, seed))
+        matrix = rhs_fast(grid, w)
+        assert np.array_equal(matrix, matrix.conj().T)  # Hermitian bitwise
+        tendency = lower(matrix)
         assert np.max(np.abs(tendency.coeffs)) > 0.0
         assert tendency.reality_residual() == 0.0
+        out = np.full((n, n), np.nan, dtype=np.complex128)
+        assert rhs_fast(grid, w, out=out) is out
+        assert np.array_equal(out, matrix)
+
+
+@pytest.mark.parametrize("n", [5, 21, 81])
+def test_lower_inverts_lift_and_is_exactly_real(n):
+    grid = build_grid(n)
+    for seed in range(2):
+        field = _random_real_field(grid, seed)
+        w = lift(field)
+        assert np.array_equal(w, w.conj().T)
+        back = lower(w)
+        assert back.grid == grid
+        assert np.max(np.abs(back.coeffs - field.coeffs)) <= 1e-14 * np.max(np.abs(field.coeffs))
+        assert back.reality_residual() == 0.0
+    # a non-Hermitian input still lowers to a bitwise real field
+    rng = np.random.default_rng(n)
+    assert lower(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))).reality_residual() == 0.0
 
 
 @pytest.mark.parametrize("n", [5, 21])
@@ -294,31 +326,31 @@ class _CountingRhs:
     def __init__(self):
         self.calls = 0
 
-    def __call__(self, grid, field):
+    def __call__(self, grid, w, out=None):
         self.calls += 1
-        return rhs_fast(grid, field)
+        return rhs_fast(grid, w, out=out)
 
 
 def _oracle_midpoint_step(state, config, rhs):
-    """Reference midpoint step: the fixed-point loop from the explicit-Euler guess."""
-    grid = state.field.grid
-    z = state.field.coeffs
+    """Reference midpoint step on W: the fixed-point loop from the explicit-Euler guess."""
+    w = state.matrix
+    grid = build_grid(len(w))
     dt = config.dt
 
-    def f(coeffs):
-        return rhs(grid, ModeField(grid, coeffs)).coeffs
+    def f(x):
+        return rhs(grid, x)
 
-    guess = z + dt * f(z)
+    guess = w + dt * f(w)
     scale = max(1.0, float(np.max(np.abs(guess))))
     for _ in range(config.midpoint_max_iter):
-        improved = z + dt * f(0.5 * (z + guess))
+        improved = w + dt * f(0.5 * (w + guess))
         delta = float(np.max(np.abs(improved - guess)))
         guess = improved
         if delta <= config.midpoint_tol * scale:
             break
     else:
         raise StepConvergenceError(f"oracle did not converge (last update {delta:.3e})")
-    return SimState(state.time + dt, ModeField(grid, guess))
+    return SimState(state.time + dt, matrix=guess)
 
 
 def _midpoint_case(seed, dt, steps, n=21):
@@ -336,6 +368,7 @@ def test_step_without_guess_matches_euler_start_oracle(dt):
         expected = _oracle_midpoint_step(state, config, rhs_fast)
         state = step(state, config)
         assert state.time == expected.time
+        assert np.array_equal(state.matrix, expected.matrix)
         assert np.array_equal(state.field.coeffs, expected.field.coeffs)
 
 
@@ -469,6 +502,57 @@ def test_rk4_large_step_stays_exactly_real():
         assert np.all(np.isfinite(z))
         assert np.max(np.abs(z)) <= 10.0
         assert state.field.reality_residual() == 0.0
+        assert np.array_equal(state.matrix, state.matrix.conj().T)
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "implicit_midpoint"])
+def test_stepped_matrix_stays_exactly_hermitian(scheme):
+    start, _ = _midpoint_case(seed=6, dt=1e-2, steps=1)
+    config = IntegratorConfig(scheme=scheme, dt=1e-2, steps=40, record_every=40)
+    state = start
+    for _ in range(config.steps):
+        state = step(state, config)
+        assert np.array_equal(state.matrix, state.matrix.conj().T)
+    # integrate's extrapolated midpoint guess included
+    final, _ = integrate(start, config)
+    assert np.array_equal(final.matrix, final.matrix.conj().T)
+    assert final.field.reality_residual() == 0.0
+
+
+def test_sim_state_holds_a_field_or_a_matrix():
+    grid = build_grid(7)
+    field = _band_field(grid, seed=4, amplitude=1.0)
+    held = SimState(0.5, field)
+    assert held.field is field
+    assert np.array_equal(held.matrix, lift(field))
+    field.coeffs *= 2.0  # nothing is cached, so the lift follows the field
+    assert np.array_equal(held.matrix, lift(field))
+    w = lift(field)
+    stepped = SimState(0.5, matrix=w)
+    assert stepped.matrix is w
+    assert stepped.field.grid == grid
+    assert np.array_equal(stepped.field.coeffs, lower(w).coeffs)
+    for bad in ({}, {"field": field, "matrix": w}):
+        with pytest.raises(ValueError):
+            SimState(0.0, **bad)
+
+
+def test_rk4_step_allocates_little_beyond_the_new_state():
+    # Stages work in the per-n workspace, which the first step builds; a
+    # later step allocates the returned matrix (n^2 complex) and little else.
+    n = 81
+    grid = build_grid(n)
+    field = random_shell_field(grid, seed=1, shell_min=1.0, shell_max=16.0, amplitude=6.0)
+    config = IntegratorConfig(dt=2e-3, steps=2)
+    state = step(SimState(0.0, field), config)
+    tracemalloc.start()
+    try:
+        advanced = step(state, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert advanced.time == 2 * config.dt
+    assert peak <= 2 * n * n * 16
 
 
 def test_reality_preserved_over_long_run():
@@ -520,7 +604,7 @@ def test_single_pair_field_is_a_steady_state():
     assert np.max(np.abs(rhs_naive(grid, field).coeffs)) == 0.0
     assert np.max(np.abs(rhs_nambu(grid, field).coeffs)) == 0.0
     # the commutator route only adds transform roundoff
-    assert np.max(np.abs(rhs_fast(grid, field).coeffs)) <= 1e-15
+    assert np.max(np.abs(_rhs_fast_modes(grid, field).coeffs)) <= 1e-15
 
 
 def test_single_pair_field_survives_integration():

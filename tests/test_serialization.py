@@ -126,6 +126,14 @@ def test_diagnostics_rejects_foreign_header(tmp_path):
         load_diagnostics(path)
 
 
+@pytest.mark.parametrize("bad_row", ["0.0,1.0", "0.0,1.0,2.0,0.0,0.0,9.0", "0.0,1.0,two,0.0,0.0"])
+def test_diagnostics_rejects_a_malformed_row_naming_its_line(tmp_path, bad_row):
+    path = tmp_path / "diag.csv"
+    path.write_text(f"time,H,E,drift_H,drift_E\n0.0,1.0,2.0,0.0,0.0\n\n{bad_row}\n")
+    with pytest.raises(ValidationError, match=r"diag\.csv, line 4: "):
+        load_diagnostics(path)
+
+
 # ---------------------------------------------------------------------------
 # violations and generic constants
 # ---------------------------------------------------------------------------

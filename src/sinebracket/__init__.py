@@ -29,8 +29,6 @@ from .functionals import (
     random_real_polynomial,
 )
 from .algebra import (
-    ClosedKillingForm,
-    ContinuumConstants,
     ContinuumNambuTensor,
     DenseKillingForm,
     DenseNambuTensor,
@@ -40,9 +38,9 @@ from .algebra import (
     KNOWN_JACOBI_VIOLATION,
     SineNambuTensor,
     ViolationTable,
-    ZeitlinConstants,
     alpha_continuum,
     alpha_zeitlin,
+    alpha_zeitlin_dense,
     construct_generic,
     dedupe_violations,
     gen_jacobi_residual,

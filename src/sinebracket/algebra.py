@@ -28,6 +28,10 @@ on closing triples (i + j + k = 0, modulo n on the truncation) and differ
 only in the coefficient, so one entry rule gives both (and the structure
 constants, read at (i, j, -k)), and one closing-triple kernel scans both.
 
+The truncated algebra is a set of functions of its grid (:func:`alpha_zeitlin`,
+:func:`alpha_zeitlin_dense`, :func:`killing_bruteforce`, :func:`killing_closed`);
+types remain only to validate outside input or to pick a Nambu entry rule.
+
 Sine and cosine values are read from reflected tables indexed by integer
 arguments modulo n, so all antisymmetry and wrap cancellations hold
 bitwise, not merely to rounding.
@@ -188,29 +192,17 @@ def alpha_continuum(i, j, k) -> float:
     return _closing_entry(None, i, j, -_as_wave_vector(k), power=2)
 
 
-@dataclass(frozen=True)
-class ZeitlinConstants:
-    """Sine-algebra constants of the truncation with parameter grid.n."""
+def alpha_zeitlin_dense(grid: TruncationGrid) -> np.ndarray:
+    """Full (N, N, N) structure-constant tensor in canonical index order.
 
-    grid: TruncationGrid
-
-    def dense(self) -> np.ndarray:
-        """Full (N, N, N) tensor in canonical index order.
-
-        Memory grows as n^6; intended for cross checks at small n.
-        """
-        t = _pair_tables(self.grid.n)
-        size = self.grid.size
-        out = np.zeros((size, size, size))
-        rows, cols = np.nonzero(t.wrap_index >= 0)
-        out[rows, cols, t.wrap_index[rows, cols]] = (
-            lie_poisson_prefactor(self.grid.n) * t.sin_cross[rows, cols]
-        )
-        return out
-
-
-class ContinuumConstants:
-    """Constants of the untruncated algebra; index set is all of Z^2 minus 0."""
+    Memory grows as n^6; intended for cross checks at small n.
+    """
+    t = _pair_tables(grid.n)
+    out = np.zeros((grid.size,) * 3)
+    rows, cols = np.nonzero(t.wrap_index >= 0)
+    values = lie_poisson_prefactor(grid.n) * t.sin_cross[rows, cols]
+    out[rows, cols, t.wrap_index[rows, cols]] = values
+    return out
 
 
 class GenericConstants:
@@ -233,7 +225,6 @@ class GenericConstants:
                 f"structure constants are not antisymmetric: relative residual {residual:.3e}"
             )
         self.alpha = alpha
-        self.dim = alpha.shape[0]
 
 
 def dense_antisymmetry_residual(alpha: np.ndarray) -> float:
@@ -263,25 +254,14 @@ def dense_jacobi_residual(alpha: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def killing_bruteforce(
-    constants: ZeitlinConstants | GenericConstants | ContinuumConstants,
-) -> np.ndarray:
-    """K_ab = sum_{k,l} alpha_ak^l alpha_bl^k by direct double contraction.
+def killing_bruteforce(grid: TruncationGrid) -> np.ndarray:
+    """K_ab = sum_{k,l} alpha_ak^l alpha_bl^k of the truncation, by double contraction.
 
-    Returns the full (N, N) matrix.  For the truncated algebra the sum runs
-    over the full retained set, one row a at a time; terms are dropped only
-    where a wrap delta makes them exactly zero, and the closed form is never
-    consulted.  The untruncated algebra has no trace-class adjoint, so its
-    Killing form diverges and is refused.
+    Returns the full (N, N) matrix.  The sum runs over the full retained
+    set, one row a at a time; terms are dropped only where a wrap delta
+    makes them exactly zero, and the closed form is never consulted.
     """
-    if isinstance(constants, ContinuumConstants):
-        raise ValueError(
-            "the Killing form of the untruncated mode algebra diverges; "
-            "only the truncated and generic variants admit one"
-        )
-    if isinstance(constants, GenericConstants):
-        return dense_killing_matrix(constants.alpha)
-    n, size = constants.grid.n, constants.grid.size
+    n, size = grid.n, grid.size
     t = _pair_tables(n)
     pref = lie_poisson_prefactor(n)
     ks = np.arange(size)
@@ -300,13 +280,11 @@ def dense_killing_matrix(alpha: np.ndarray) -> np.ndarray:
     return np.einsum("ikl,jlk->ij", alpha, alpha)
 
 
-def killing_closed(grid: TruncationGrid, i, j) -> float:
-    """Closed form of the truncated Killing pairing: diagonal in i, -j."""
-    i, j = _as_wave_vector(i), _as_wave_vector(j)
-    grid.index_of(i), grid.index_of(j)
-    if grid.mod_reduce(i + j) != (0, 0):
-        return 0.0
-    return killing_diagonal(grid.n)
+def killing_closed(grid: TruncationGrid) -> np.ndarray:
+    """Closed-form (N, N) Killing matrix of the truncation: K_ij = c_n delta_{(i+j)|n,0}."""
+    out = np.zeros((grid.size, grid.size))
+    out[np.arange(grid.size), grid.neg_index] = killing_diagonal(grid.n)
+    return out
 
 
 def _orthogonality_sum(grid: TruncationGrid, l) -> tuple[float, float]:
@@ -335,19 +313,6 @@ def orthogonality_check(grid: TruncationGrid, l) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class ClosedKillingForm:
-    """Closed-form Killing pairing of the truncation: K_ij = c_n delta_{(i+j)|n,0}."""
-
-    grid: TruncationGrid
-
-    def as_matrix(self) -> np.ndarray:
-        grid = self.grid
-        out = np.zeros((grid.size, grid.size))
-        out[np.arange(grid.size), grid.neg_index] = killing_diagonal(grid.n)
-        return out
-
-
 class DenseKillingForm:
     """Killing matrix of a generic algebra with a validated inverse."""
 
@@ -358,20 +323,16 @@ class DenseKillingForm:
         scale = np.max(np.abs(matrix))
         if scale > 0 and np.max(np.abs(matrix - matrix.T)) > 1e-12 * scale:
             raise ValidationError("Killing matrix is not symmetric")
-        self.matrix = matrix
-        self.inverse = self._invert()
-
-    def _invert(self) -> np.ndarray:
-        dim = self.matrix.shape[0]
+        eye = np.eye(len(matrix))
         try:
-            inverse = np.linalg.solve(self.matrix, np.eye(dim))
+            inverse = np.linalg.solve(matrix, eye)
         except np.linalg.LinAlgError:
             inverse = None
-        if inverse is None or np.max(np.abs(self.matrix @ inverse - np.eye(dim))) > 1e-8:
+        if inverse is None or np.max(np.abs(matrix @ inverse - eye)) > 1e-8:
             raise ValueError(
                 "Killing form is singular or near-singular: the algebra is not semi-simple"
             )
-        return inverse
+        self.matrix, self.inverse = matrix, inverse
 
 
 def quadratic_casimir(grid: TruncationGrid, field: ModeField) -> float:
@@ -504,7 +465,7 @@ def construct_generic(
         raise ValidationError(
             f"structure constants violate the Jacobi identity: relative residual {jacobi:.3e}"
         )
-    killing = DenseKillingForm(killing_bruteforce(constants))
+    killing = DenseKillingForm(dense_killing_matrix(constants.alpha))
     nambu = DenseNambuTensor(np.einsum("ijl,lk->ijk", constants.alpha, killing.matrix) / scaling)
     return GenericAlgebra(constants=constants, killing=killing, nambu=nambu, scaling=scaling)
 

@@ -67,23 +67,25 @@ DEFAULT_CONVERGENCE_PAIRS = (
 )
 
 
-def _integer(raw: dict, key: str, default: int | None = None) -> int:
-    """``raw[key]``, or ``default`` if absent, as an int; bools and fractions are refused."""
-    value = raw[key] if default is None else raw.get(key, default)
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+def _integer(value, what: str) -> int:
+    """``value`` as an int; bools, fractions and non-numbers are refused."""
+    fraction = isinstance(value, float) and not value.is_integer()
+    try:
+        if not isinstance(value, bool) and not fraction:
+            return int(value)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
-def _real(raw: dict, key: str, default: float | None = None) -> float:
-    """``raw[key]``, or ``default`` if absent, as a float; bools and non-numbers are refused."""
-    value = raw[key] if default is None else raw.get(key, default)
+def _real(value, what: str) -> float:
+    """``value`` as a float; bools and non-numbers are refused."""
     try:
         if not isinstance(value, bool):
             return float(value)
     except (TypeError, ValueError):
         pass
-    raise ValueError(f"{key} must be a number, got {value!r}")
+    raise ValueError(f"{what} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -106,14 +108,14 @@ class RunConfig:
     @classmethod
     def from_mapping(cls, raw: dict) -> "RunConfig":
         try:
-            steps = _integer(raw, "steps")
+            steps = _integer(raw["steps"], "steps")
             return cls(
-                n=_integer(raw, "n"),
+                n=_integer(raw["n"], "n"),
                 scheme=str(raw.get("scheme", "rk4")),
-                dt=_real(raw, "dt"),
+                dt=_real(raw["dt"], "dt"),
                 steps=steps,
-                record_every=_integer(raw, "record_every", max(1, steps // 10)),
-                seed=_integer(raw, "seed", 0),
+                record_every=_integer(raw.get("record_every", max(1, steps // 10)), "record_every"),
+                seed=_integer(raw.get("seed", 0), "seed"),
                 initial_condition=dict(raw.get("initial_condition", {"type": "shell"})),
                 out_dir=str(raw.get("out_dir", ".")),
             )
@@ -132,13 +134,15 @@ def _build_initial_condition(config: RunConfig) -> ModeField:
         field = random_shell_field(
             grid,
             seed=config.seed,
-            shell_min=_real(spec, "shell_min", 1.0),
-            shell_max=_real(spec, "shell_max", 4.0),
-            amplitude=_real(spec, "amplitude", 1.0),
+            shell_min=_real(spec.get("shell_min", 1.0), "shell_min"),
+            shell_max=_real(spec.get("shell_max", 4.0), "shell_max"),
+            amplitude=_real(spec.get("amplitude", 1.0), "amplitude"),
         )
     elif kind == "modes":
-        rows = spec.get("modes", ())
-        modes = {(int(i1), int(i2)): complex(float(re), float(im)) for i1, i2, re, im in rows}
+        modes = {}
+        for i1, i2, re, im in spec.get("modes", ()):
+            index = (_integer(i1, "mode index"), _integer(i2, "mode index"))
+            modes[index] = complex(_real(re, "mode value"), _real(im, "mode value"))
         if not modes:
             raise ValidationError("mode-list initial condition is empty")
         field = ModeField.from_modes(grid, modes)
@@ -173,7 +177,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             steps=config.steps,
             record_every=config.record_every,
         )
-    except (OSError, json.JSONDecodeError, ValidationError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValidationError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -54,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import _masked_gather, _pair_tables, nambu_prefactor
+from .algebra import _masked_gather, _nambu_matrix, _pair_tables
 from .errors import ConsistencyError, StepConvergenceError
 from .functionals import Functional
 from .grid import (
@@ -130,11 +130,8 @@ def rhs_naive(grid: TruncationGrid, field: ModeField) -> ModeField:
 
 def rhs_nambu(grid: TruncationGrid, field: ModeField) -> ModeField:
     """Tendency as the Nambu contraction d zeta_i/dt = N_ijk dH_j dE_k."""
-    t = _pair_tables(grid.n)
-    grad_h = hamiltonian_gradient(grid, field)
-    grad_e_closed = _masked_gather(enstrophy_gradient(grid, field), t.neg_wrap_index)
-    tendency = nambu_prefactor(grid.n) * ((t.sin_cross * grad_e_closed) @ grad_h)
-    return ModeField(grid, tendency)
+    nambu = _nambu_matrix(grid, enstrophy_gradient(grid, field))
+    return ModeField(grid, nambu @ hamiltonian_gradient(grid, field))
 
 
 def rhs_from_lie_poisson(grid: TruncationGrid, field: ModeField) -> ModeField:
@@ -289,6 +286,9 @@ def rhs_fast(grid: TruncationGrid, w: np.ndarray, out: np.ndarray | None = None)
 # time stepping
 # ---------------------------------------------------------------------------
 
+_MIDPOINT_TOL = 1e-13  # a midpoint sweep moving W by <= this * max(1, max |W|) ends the solve
+_MIDPOINT_MAX_ITER = 50  # sweeps before the solve raises StepConvergenceError
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -298,8 +298,6 @@ class IntegratorConfig:
     dt: float = 1e-3
     steps: int = 100
     record_every: int = 10
-    midpoint_tol: float = 1e-13
-    midpoint_max_iter: int = 50
 
     def __post_init__(self) -> None:
         if self.scheme not in ("rk4", "implicit_midpoint"):
@@ -310,10 +308,6 @@ class IntegratorConfig:
             raise ValueError(f"steps must be nonnegative, got {self.steps}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be at least 1, got {self.record_every}")
-        if not self.midpoint_tol >= 0:
-            raise ValueError(f"midpoint_tol must be nonnegative, got {self.midpoint_tol}")
-        if self.midpoint_max_iter < 1:
-            raise ValueError(f"midpoint_max_iter must be at least 1, got {self.midpoint_max_iter}")
 
 
 class SimState:
@@ -418,7 +412,7 @@ def step(
             np.copyto(current, guess)
         scale = max(1.0, float(np.abs(current, out=ws.magnitude).max()))
         delta = math.nan
-        for _ in range(config.midpoint_max_iter):
+        for _ in range(_MIDPOINT_MAX_ITER):
             np.add(w, current, out=trial)
             trial *= 0.5
             k = rhs(grid, trial, out=slope)
@@ -428,11 +422,11 @@ def step(
             if not math.isfinite(delta):
                 raise ConsistencyError(f"implicit midpoint update is non-finite at t={state.time!r}")
             current, trial = improved, current
-            if delta <= config.midpoint_tol * scale:
+            if delta <= _MIDPOINT_TOL * scale:
                 break
         else:
             raise StepConvergenceError(
-                f"implicit midpoint did not converge in {config.midpoint_max_iter} "
+                f"implicit midpoint did not converge in {_MIDPOINT_MAX_ITER} "
                 f"iterations at t={state.time!r} (last update {delta:.3e}, "
                 f"contraction estimate {delta / previous:.3g})"
             )

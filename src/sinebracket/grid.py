@@ -23,6 +23,7 @@ both real and nonnegative under the reality condition.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple
 
@@ -78,6 +79,10 @@ class TruncationGrid:
     n: int
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:  # refuse bools and fractions, store numpy integers as int
+            if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+                raise ValueError(f"truncation parameter must be an integer, got {self.n!r}")
+            object.__setattr__(self, "n", int(self.n))
         if self.n < 3 or self.n % 2 == 0:
             raise ValueError(f"truncation parameter must be odd and >= 3, got {self.n}")
 
@@ -175,7 +180,7 @@ def _grid_tables(n: int) -> _GridTables:
 
 def build_grid(n: int) -> TruncationGrid:
     """Validate n and build the retained wave-vector set."""
-    return TruncationGrid(int(n))
+    return TruncationGrid(n)
 
 
 @dataclass

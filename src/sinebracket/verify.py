@@ -18,11 +18,9 @@ import numpy as np
 
 from .algebra import (
     KNOWN_JACOBI_VIOLATION,
-    ClosedKillingForm,
     ContinuumNambuTensor,
     SineNambuTensor,
     ViolationTable,
-    ZeitlinConstants,
     _bilinear_with_scale,
     _lie_poisson_matrix,
     _masked_gather,
@@ -37,6 +35,7 @@ from .algebra import (
     dense_killing_matrix,
     gen_jacobi_terms,
     killing_bruteforce,
+    killing_closed,
     killing_diagonal,
     lie_poisson_prefactor,
     scan_gen_jacobi,
@@ -131,11 +130,10 @@ def _table_jacobi_residual(grid: TruncationGrid) -> float:
 
 def _killing_residual(grid: TruncationGrid, alpha_override: np.ndarray | None) -> float:
     if alpha_override is None:
-        brute = killing_bruteforce(ZeitlinConstants(grid))
+        brute = killing_bruteforce(grid)
     else:
         brute = dense_killing_matrix(alpha_override)
-    closed = ClosedKillingForm(grid).as_matrix()
-    return float(np.max(np.abs(brute - closed))) / abs(killing_diagonal(grid.n))
+    return float(np.max(np.abs(brute - killing_closed(grid)))) / abs(killing_diagonal(grid.n))
 
 
 def _orthogonality_residual(grid: TruncationGrid) -> float:
@@ -367,15 +365,15 @@ def run_convergence_study(
     low-order polynomials in the pair's modes (the same mode-derivative
     convention on both sides) and tabulates the difference; that
     comparison carries no acceptance band.  Passes iff every fitted
-    exponent lies in [1.8, 2.2].
+    exponent lies in [1.8, 2.2].  ``n_list`` needs two distinct sizes.
     """
     if not pairs:
         raise ValueError("need at least one wave-vector pair")
-    n_list = sorted(int(n) for n in n_list)
-    if len(n_list) < 2:
-        raise ValueError("need at least two truncation sizes to fit a rate")
+    grids = {grid.n: grid for grid in map(build_grid, n_list)}
+    if len(grids) < 2:
+        raise ValueError(f"need two distinct truncation sizes to fit a rate, got {list(n_list)}")
+    n_list = sorted(grids)
     started = time.perf_counter()
-    grids = {n: build_grid(n) for n in n_list}
     smallest = grids[n_list[0]]
     continuum = ContinuumNambuTensor()
 

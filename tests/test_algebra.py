@@ -13,17 +13,16 @@ import pytest
 
 from sinebracket.algebra import (
     KNOWN_JACOBI_VIOLATION,
-    ContinuumConstants,
     ContinuumNambuTensor,
     DenseKillingForm,
     DenseNambuTensor,
     GenericConstants,
     SineNambuTensor,
     ViolationTable,
-    ZeitlinConstants,
     _violation_orbit,
     alpha_continuum,
     alpha_zeitlin,
+    alpha_zeitlin_dense,
     construct_generic,
     dedupe_violations,
     dense_antisymmetry_residual,
@@ -137,13 +136,13 @@ def test_alpha_zeitlin_matches_literal_definition():
 
 def test_alpha_antisymmetry_is_exact():
     grid = build_grid(9)
-    dense = ZeitlinConstants(grid).dense()
+    dense = alpha_zeitlin_dense(grid)
     assert dense_antisymmetry_residual(dense) == 0.0
 
 
 def test_alpha_jacobi_identity_dense():
     for n in (3, 5):
-        dense = ZeitlinConstants(build_grid(n)).dense()
+        dense = alpha_zeitlin_dense(build_grid(n))
         assert dense_jacobi_residual(dense) < 1e-13
 
 
@@ -181,7 +180,8 @@ def test_killing_literal_oracle_n3():
     n = 3
     grid = build_grid(n)
     vs = [tuple(v) for v in grid]
-    brute = killing_bruteforce(ZeitlinConstants(grid))
+    brute = killing_bruteforce(grid)
+    closed = killing_closed(grid)
     kappa = KILLING_DIAGONAL_ANCHORS[n]
     for i in vs:
         for j in vs:
@@ -191,26 +191,24 @@ def test_killing_literal_oracle_n3():
                     literal += _alpha_literal(n, i, k, l) * _alpha_literal(n, j, l, k)
             expected = kappa if _wrap(i[0] + j[0], n) == 0 and _wrap(i[1] + j[1], n) == 0 else 0.0
             assert literal == pytest.approx(expected, abs=1e-14 * abs(kappa))
-            entry = brute[grid.index_of(i), grid.index_of(j)]
-            assert entry == pytest.approx(literal, abs=1e-13 * abs(kappa))
-            assert killing_closed(grid, i, j) == pytest.approx(expected, abs=1e-14 * abs(kappa))
+            a, b = grid.index_of(i), grid.index_of(j)
+            assert brute[a, b] == pytest.approx(literal, abs=1e-13 * abs(kappa))
+            assert closed[a, b] == pytest.approx(expected, abs=1e-14 * abs(kappa))
 
 
 def test_killing_brute_equals_closed():
     for n in (5, 7):
         grid = build_grid(n)
-        brute = killing_bruteforce(ZeitlinConstants(grid))
+        brute = killing_bruteforce(grid)
+        closed = killing_closed(grid)
         kappa = KILLING_DIAGONAL_ANCHORS[n]
-        assert killing_closed(grid, (1, 0), (-1, 0)) == pytest.approx(kappa, rel=1e-13)
+        assert closed[grid.index_of((1, 0)), grid.index_of((-1, 0))] == pytest.approx(
+            kappa, rel=1e-13
+        )
         for i, j in [((1, 0), (-1, 0)), ((2, 1), (-2, -1)), ((1, 0), (0, 1)), ((2, 2), (1, 1))]:
-            assert brute[grid.index_of(i), grid.index_of(j)] == pytest.approx(
-                killing_closed(grid, i, j), abs=1e-12 * abs(kappa)
-            )
-
-
-def test_killing_of_continuum_algebra_refused():
-    with pytest.raises(ValueError, match="diverges"):
-        killing_bruteforce(ContinuumConstants())
+            a, b = grid.index_of(i), grid.index_of(j)
+            assert brute[a, b] == pytest.approx(closed[a, b], abs=1e-12 * abs(kappa))
+        assert np.max(np.abs(brute - closed)) <= 1e-12 * abs(kappa)
 
 
 def test_orthogonality_relation():
@@ -277,7 +275,7 @@ def test_sine_nambu_scaling_matches_killing_route():
     # N = alpha . K / r entry by entry on a small truncation
     n = 3
     grid = build_grid(n)
-    dense_alpha = ZeitlinConstants(grid).dense()
+    dense_alpha = alpha_zeitlin_dense(grid)
     t = SineNambuTensor(grid)
     kappa = KILLING_DIAGONAL_ANCHORS[n]
     r = t.scaling
@@ -615,7 +613,7 @@ def test_generic_zeitlin_cross_check():
     # dense constants of the n=3 truncation through the generic pipeline
     n = 3
     grid = build_grid(n)
-    dense = ZeitlinConstants(grid).dense()
+    dense = alpha_zeitlin_dense(grid)
     algebra = construct_generic(dense, scaling=SineNambuTensor(grid).scaling)
     t = SineNambuTensor(grid)
     for ai, i in enumerate(grid):
@@ -644,7 +642,7 @@ def test_generic_rejects_bad_constants():
 
 def test_fault_injection_single_sign_flip_detected():
     grid = build_grid(5)
-    dense = ZeitlinConstants(grid).dense()
+    dense = alpha_zeitlin_dense(grid)
     rng = np.random.default_rng(13)
     nz = np.argwhere(dense != 0.0)
     for _ in range(5):

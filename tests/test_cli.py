@@ -185,6 +185,28 @@ def test_run_refuses_non_numeric_real_fields(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([1.7, 0, 1.0, 0.0], "mode index must be an integer, got 1.7"),
+        ([1, True, 1.0, 0.0], "mode index must be an integer, got True"),
+        (["2.5", 0, 1.0, 0.0], "mode index must be an integer, got '2.5'"),
+        ([1, 0, True, 0.0], "mode value must be a number, got True"),
+        ([1, 0, 1.0, False], "mode value must be a number, got False"),
+        ([1, 0, None, 0.0], "mode value must be a number, got None"),
+        ([1, 0, 1.0], "not enough values to unpack"),
+        (5, "cannot unpack non-iterable int"),
+    ],
+)
+def test_run_refuses_malformed_mode_rows(tmp_path, capsys, row, message):
+    # the row (1.7, 0, 1.0, 0.0) once ran as mode (1, 0) and exited 0
+    cfg_path, _ = _write_config(tmp_path, initial_condition={"type": "modes", "modes": [row]})
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_summary_reports_steps_per_second(tmp_path):
     cfg_path, config = _write_config(tmp_path)
     assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
@@ -410,6 +432,11 @@ def test_converge_usage_errors(tmp_path, capsys):
     assert main(["converge", "--pairs", str(malformed), "--out", str(tmp_path)]) == EXIT_USAGE
     assert main(["converge", "--n-list", "11", "--out", str(tmp_path)]) == EXIT_USAGE
     assert main(["converge", "--n-list", "pi,11", "--out", str(tmp_path)]) == EXIT_USAGE
+    # one distinct size once fitted a "rate" under RankWarning and exited 1
+    assert main(["converge", "--n-list", "11,11", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "two distinct truncation sizes" in capsys.readouterr().err
+    assert main(["converge", "--n-list", "11,12", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert not (tmp_path / "convergence.csv").exists()
     assert (
         main(["converge", "--pairs", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
         == EXIT_USAGE

@@ -8,6 +8,7 @@ import pytest
 from sinebracket.errors import ValidationError
 from sinebracket.grid import (
     ModeField,
+    TruncationGrid,
     WaveVector,
     build_grid,
     energy,
@@ -41,6 +42,18 @@ def test_grid_rejects_even_and_tiny_n():
         build_grid(1)
     with pytest.raises(ValueError):
         build_grid(-5)
+
+
+def test_grid_refuses_non_integer_n():
+    # 7.5 once built a grid of size 55.25 and build_grid(7.9) truncated to 7
+    for n in (7.5, 7.9, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            TruncationGrid(n)
+        with pytest.raises(ValueError, match="must be an integer"):
+            build_grid(n)
+    grid = build_grid(np.int64(7))
+    assert type(grid.n) is int and grid.n == 7
+    assert grid == build_grid(7) and type(grid.size) is int
 
 
 def test_mod_reduce_symmetric_window():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sinebracket.algebra import ZeitlinConstants, _pair_tables
+from sinebracket.algebra import _pair_tables, alpha_zeitlin_dense
 from sinebracket.grid import build_grid
 from sinebracket.verify import (
     _table_jacobi_residual,
@@ -88,7 +88,7 @@ def test_identity_suite_rejects_bad_n():
 
 def test_fault_injection_is_caught():
     grid = build_grid(5)
-    dense = ZeitlinConstants(grid).dense()
+    dense = alpha_zeitlin_dense(grid)
     nz = np.argwhere(dense != 0.0)
     a, b, c = nz[7]
     corrupted = dense.copy()
@@ -104,7 +104,7 @@ def test_fault_injection_is_caught():
 
 def test_clean_override_passes():
     grid = build_grid(3)
-    dense = ZeitlinConstants(grid).dense()
+    dense = alpha_zeitlin_dense(grid)
     reports = {r.name: r for r in run_identity_suite(3, alpha_override=dense)}
     assert reports["alpha-antisymmetry"].passed
     assert reports["jacobi-identity"].passed
@@ -197,6 +197,14 @@ def test_convergence_study_input_validation():
         run_convergence_study([((1, 0), (0, 1))], n_list=(11,))
     with pytest.raises(ValueError, match="smallest grid"):
         run_convergence_study([((5, 5), (1, 0))], n_list=(11, 21))
+    # a repeated size counts once; float sizes are refused, not truncated
+    with pytest.raises(ValueError, match="two distinct truncation sizes"):
+        run_convergence_study([((1, 0), (0, 1))], n_list=(11, 11))
+    with pytest.raises(ValueError, match="must be an integer"):
+        run_convergence_study([((1, 0), (0, 1))], n_list=(11, 21.5))
+    report = run_convergence_study([((1, 0), (0, 1))], n_list=(21, 11, 21))
+    assert report.params["n_list"] == [11, 21]
+    assert list(report.params["pairs"][0]["errors"]) == ["11", "21"]
 
 
 def test_convergence_bracket_diffs_shrink_quadratically():

@@ -52,6 +52,7 @@ from .algebra import (
     orthogonality_check,
     quadratic_casimir,
     scan_gen_jacobi,
+    scan_gen_jacobi_continuum,
     support_nambu_bracket,
 )
 from .dynamics import (

@@ -29,8 +29,12 @@ only in the coefficient, so one entry rule gives both (and the structure
 constants, read at (i, j, -k)), and one closing-triple kernel scans both.
 
 The truncated algebra is a set of functions of its grid (:func:`alpha_zeitlin`,
-:func:`alpha_zeitlin_dense`, :func:`killing_bruteforce`, :func:`killing_closed`);
-types remain only to validate outside input or to pick a Nambu entry rule.
+:func:`alpha_zeitlin_dense`, :func:`killing_bruteforce`, :func:`killing_closed`),
+and so are its brackets, :func:`lie_poisson_bracket` (grid, field, f1, f2) and
+:func:`nambu_bracket` (grid, field, f1, f2, f3).  Types remain only to
+validate outside input or to pick a Nambu entry rule.  :func:`scan_gen_jacobi`
+scans a truncated or a dense tensor; the untruncated tensor has no finite
+index set, so :func:`scan_gen_jacobi_continuum` takes the box it scans.
 
 Sine and cosine values are read from reflected tables indexed by integer
 arguments modulo n, so all antisymmetry and wrap cancellations hold
@@ -367,11 +371,6 @@ class SineNambuTensor:
 
     grid: TruncationGrid
 
-    @property
-    def scaling(self) -> float:
-        """The r relating N to the Killing-lowered constants, alpha.K / r."""
-        return casimir_scale(self.grid.n)
-
     def entry(self, i, j, k) -> float:
         return _closing_entry(self.grid, i, j, k, power=4)
 
@@ -444,9 +443,7 @@ class GenericAlgebra:
         return float(0.5 * z @ self.killing.inverse @ z)
 
 
-def construct_generic(
-    constants: GenericConstants | np.ndarray, scaling: float = 1.0
-) -> GenericAlgebra:
+def construct_generic(alpha: np.ndarray, scaling: float = 1.0) -> GenericAlgebra:
     """Run the algebraic pipeline on dense constants of a finite algebra.
 
     Validates antisymmetry and the Jacobi identity, computes the Killing
@@ -456,8 +453,7 @@ def construct_generic(
     free normalisation for a generic algebra; the truncated vorticity
     algebra fixes it by matching the Casimir to the enstrophy.
     """
-    if not isinstance(constants, GenericConstants):
-        constants = GenericConstants(constants)
+    constants = GenericConstants(alpha)
     if scaling == 0.0:
         raise ValueError("scaling must be nonzero")
     jacobi = dense_jacobi_residual(constants.alpha)
@@ -536,20 +532,16 @@ def _nambu_matrix(grid: TruncationGrid, g3: np.ndarray) -> np.ndarray:
 
 
 def nambu_bracket(
-    tensor: _AnyNambuTensor,
-    f1: Functional,
-    f2: Functional,
-    f3: Functional,
-    field: ModeField,
+    grid: TruncationGrid, field: ModeField, f1: Functional, f2: Functional, f3: Functional
 ) -> float:
-    """{F1, F2, F3} = N_ijk dF1_i dF2_j dF3_k on the truncation."""
-    if not isinstance(tensor, SineNambuTensor):
-        raise TypeError(
-            "field-based Nambu brackets need the truncated tensor; use "
-            "support_nambu_bracket for finitely supported observables"
-        )
+    """{F1, F2, F3} = N_ijk dF1_i dF2_j dF3_k on the truncation, as a real number.
+
+    The imaginary residue is checked as in :func:`lie_poisson_bracket`;
+    :func:`support_nambu_bracket` evaluates finitely supported observables
+    with any tensor.
+    """
     return _real_bilinear(
-        _nambu_matrix(tensor.grid, f3.gradient(field)),
+        _nambu_matrix(grid, f3.gradient(field)),
         f1.gradient(field),
         f2.gradient(field),
         f"Nambu bracket of {f1.name!r}, {f2.name!r}, {f3.name!r}",
@@ -717,7 +709,7 @@ def dedupe_violations(violations: ViolationTable) -> ViolationTable:
     return violations[np.sort(kept)]
 
 
-def scan_gen_jacobi(tensor: _AnyNambuTensor, bound: int | None = None) -> ViolationTable:
+def scan_gen_jacobi(tensor: SineNambuTensor | DenseNambuTensor) -> ViolationTable:
     """Find all violations of the generalized Jacobi identity.
 
     The scan enumerates tuples whose first summand has both delta factors
@@ -726,19 +718,12 @@ def scan_gen_jacobi(tensor: _AnyNambuTensor, bound: int | None = None) -> Violat
     summand, which a cyclic relabel moves into first position.  The
     result is therefore complete up to that equivalence.
 
-    The truncated and the untruncated tensor are both supported on closing
-    triples and share one kernel, :func:`_scan_closing`; a dense tensor is
-    scanned over all d^6 tuples.  A tuple is reported when |residual| >
-    1e-10 * (max |N|)^2.  ``bound`` limits the free wave-vector components
-    of the untruncated tensor; it is required there and refused otherwise.
+    The truncated tensor is supported on closing triples and is scanned by
+    :func:`_scan_closing`, as is the untruncated one
+    (:func:`scan_gen_jacobi_continuum`); a dense tensor is scanned over all
+    d^6 tuples.  A tuple is reported when |residual| > 1e-10 * (max |N|)^2.
     Hits come back as a :class:`ViolationTable` in enumeration order.
     """
-    if isinstance(tensor, ContinuumNambuTensor):
-        if bound is None:
-            raise ValueError("the untruncated scan needs a bound on the free components")
-        return _scan_closing(*_continuum_tables(bound))
-    if bound is not None:
-        raise ValueError("bound applies only to the untruncated tensor")
     if isinstance(tensor, SineNambuTensor):
         n = tensor.grid.n
         t = _pair_tables(n)
@@ -750,8 +735,8 @@ def scan_gen_jacobi(tensor: _AnyNambuTensor, bound: int | None = None) -> Violat
     raise TypeError(f"cannot scan tensor of type {type(tensor).__name__}")
 
 
-def _continuum_tables(bound: int) -> tuple:
-    """:func:`_scan_closing` inputs of the untruncated tensor on the box |i|, |j| <= bound.
+def scan_gen_jacobi_continuum(bound: int) -> ViolationTable:
+    """:func:`scan_gen_jacobi` for the untruncated tensor, over i, j in |i|, |j| <= bound.
 
     The members are the retained vectors of the n = 4*bound + 1 grid, which
     holds the closing vector -(i+j) of every pair of box vectors.
@@ -766,7 +751,7 @@ def _continuum_tables(bound: int) -> tuple:
     close = padded[2 * m - v[:, 0][:, None] - v[:, 0], 2 * m - v[:, 1][:, None] - v[:, 1]]
     box = np.all(np.abs(v) <= bound, axis=1)
     pairs = np.outer(box, box) & (cross != 0)
-    return tuple(grid), -cross / TWO_PI**4, close, pairs
+    return _scan_closing(tuple(grid), -cross / TWO_PI**4, close, pairs)
 
 
 def _scan_closing(

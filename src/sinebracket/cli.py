@@ -22,7 +22,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +66,13 @@ DEFAULT_CONVERGENCE_PAIRS = (
     ((2, 1), (-1, 1)),
 )
 
+# The keys each initial-condition type reads; any other key is refused.
+_INITIAL_CONDITION_KEYS = {
+    "shell": {"type", "shell_min", "shell_max", "amplitude"},
+    "modes": {"type", "modes"},
+    "physical_csv": {"type", "path"},
+}
+
 
 def _integer(value, what: str) -> int:
     """``value`` as an int; bools, fractions and non-numbers are refused."""
@@ -88,12 +95,31 @@ def _real(value, what: str) -> float:
     raise ValueError(f"{what} must be a number, got {value!r}")
 
 
+def _string(value, what: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise ValueError(f"{what} must be a string, got {value!r}")
+
+
+def _refuse_unknown_keys(mapping: dict, known, where: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ValidationError(f"the {where} settings must be a JSON object, got {mapping!r}")
+    unknown = [key for key in mapping if key not in known]
+    if unknown:
+        raise ValidationError(
+            f"unknown {where} key {', '.join(map(repr, unknown))}; "
+            f"known keys: {', '.join(sorted(known))}"
+        )
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed simulation configuration with defaults filled in.
 
     Values are checked where they are used: ``n`` by the truncation grid,
-    the scheme and step parameters by :class:`IntegratorConfig`.
+    the scheme and step parameters by :class:`IntegratorConfig`, the
+    initial condition and its keys when it is built.  A key that is not a
+    field name is refused here.
     """
 
     n: int
@@ -108,16 +134,17 @@ class RunConfig:
     @classmethod
     def from_mapping(cls, raw: dict) -> "RunConfig":
         try:
+            _refuse_unknown_keys(raw, {f.name for f in fields(cls)}, "top-level")
             steps = _integer(raw["steps"], "steps")
             return cls(
                 n=_integer(raw["n"], "n"),
-                scheme=str(raw.get("scheme", "rk4")),
+                scheme=_string(raw.get("scheme", "rk4"), "scheme"),
                 dt=_real(raw["dt"], "dt"),
                 steps=steps,
                 record_every=_integer(raw.get("record_every", max(1, steps // 10)), "record_every"),
                 seed=_integer(raw.get("seed", 0), "seed"),
                 initial_condition=dict(raw.get("initial_condition", {"type": "shell"})),
-                out_dir=str(raw.get("out_dir", ".")),
+                out_dir=_string(raw.get("out_dir", "."), "out_dir"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad run configuration: {exc}") from exc
@@ -130,6 +157,9 @@ def _build_initial_condition(config: RunConfig) -> ModeField:
     grid = build_grid(config.n)
     spec = config.initial_condition
     kind = spec.get("type", "shell")
+    if kind not in _INITIAL_CONDITION_KEYS:
+        raise ValidationError(f"unknown initial-condition type {kind!r}")
+    _refuse_unknown_keys(spec, _INITIAL_CONDITION_KEYS[kind], f"{kind} initial-condition")
     if kind == "shell":
         field = random_shell_field(
             grid,
@@ -142,17 +172,24 @@ def _build_initial_condition(config: RunConfig) -> ModeField:
         modes = {}
         for i1, i2, re, im in spec.get("modes", ()):
             index = (_integer(i1, "mode index"), _integer(i2, "mode index"))
+            if index in modes:
+                raise ValidationError(f"mode {index} is given twice")
             modes[index] = complex(_real(re, "mode value"), _real(im, "mode value"))
         if not modes:
             raise ValidationError("mode-list initial condition is empty")
+        for (i1, i2), value in modes.items():
+            mirror = modes.get((-i1, -i2))
+            if mirror is not None and mirror != value.conjugate():
+                raise ValidationError(
+                    f"modes {(i1, i2)} and {(-i1, -i2)} must be complex conjugates, "
+                    f"got {value!r} and {mirror!r}"
+                )
         field = ModeField.from_modes(grid, modes)
-    elif kind == "physical_csv":
+    else:  # physical_csv
         path = spec.get("path")
         if not path:
             raise ValidationError("physical_csv initial condition needs a path")
-        field = from_physical(load_physical_field(path), grid)
-    else:
-        raise ValidationError(f"unknown initial-condition type {kind!r}")
+        field = from_physical(load_physical_field(_string(path, "path")), grid)
     if not np.isfinite(field.coeffs).all():
         raise ValidationError(f"{kind} initial condition has non-finite coefficients")
     return field

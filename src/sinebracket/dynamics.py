@@ -211,20 +211,19 @@ def _workspace(n: int) -> _Workspace:
 
 # np.take buffers ``out`` under its default mode="raise"; the gather
 # indices are in range, so mode="clip" gives the same result without it.
-def _to_weyl_matrix(n: int, wrapped: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """sum_k c_k T_k from wrapped coefficients c[k1 % n, k2 % n].
+def _to_weyl_matrix(n: int, wrapped: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sum_k c_k T_k from wrapped coefficients c[k1 % n, k2 % n], written into ``out``.
 
-    Given ``out``, the matrix is written there and ``wrapped`` is used as
-    scratch (overwritten), so nothing is allocated.
+    ``wrapped`` is used as scratch (overwritten), so nothing is allocated.
     """
     t = _weyl_tables(n)
-    spectral = np.multiply(wrapped, t.phase, out=None if out is None else wrapped)
+    spectral = np.multiply(wrapped, t.phase, out=wrapped)
     np.fft.ifft(spectral, axis=0, norm="forward", out=spectral)
     return np.take(spectral.ravel(), t.to_matrix, out=out, mode="clip")
 
 
-def _from_weyl_matrix(n: int, matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Wrapped coefficients of a matrix in the clock-and-shift basis, into ``out`` if given."""
+def _from_weyl_matrix(n: int, matrix: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Wrapped coefficients of a matrix in the clock-and-shift basis, written into ``out``."""
     t = _weyl_tables(n)
     spectral = np.take(matrix.ravel(), t.from_matrix, out=out, mode="clip")
     np.fft.fft(spectral, axis=0, norm="forward", out=spectral)
@@ -240,7 +239,7 @@ def lift(field: ModeField) -> np.ndarray:
     the lift of its real part.
     """
     n = field.grid.n
-    w = _to_weyl_matrix(n, _wrapped(field, n))
+    w = _to_weyl_matrix(n, _wrapped(field, n), np.empty((n, n), dtype=np.complex128))
     return 0.5 * (w + w.conj().T)
 
 
@@ -252,7 +251,8 @@ def lower(w: np.ndarray) -> ModeField:
     component, has no retained mode and is dropped.
     """
     grid = build_grid(w.shape[0])
-    y = _from_weyl_matrix(grid.n, w).ravel().take(_wrap_index(grid.n, grid.n))
+    y = _from_weyl_matrix(grid.n, w, np.empty(w.shape, dtype=np.complex128))
+    y = y.ravel().take(_wrap_index(grid.n, grid.n))
     return ModeField(grid, 0.5 * (y + np.conj(y[grid.neg_index])))
 
 

@@ -30,9 +30,6 @@ from .algebra import (
     alpha_continuum,
     alpha_zeitlin,
     dedupe_violations,
-    dense_antisymmetry_residual,
-    dense_jacobi_residual,
-    dense_killing_matrix,
     gen_jacobi_terms,
     killing_bruteforce,
     killing_closed,
@@ -128,11 +125,8 @@ def _table_jacobi_residual(grid: TruncationGrid) -> float:
     return worst / term_scale if term_scale else 0.0
 
 
-def _killing_residual(grid: TruncationGrid, alpha_override: np.ndarray | None) -> float:
-    if alpha_override is None:
-        brute = killing_bruteforce(grid)
-    else:
-        brute = dense_killing_matrix(alpha_override)
+def _killing_residual(grid: TruncationGrid) -> float:
+    brute = killing_bruteforce(grid)
     return float(np.max(np.abs(brute - killing_closed(grid)))) / abs(killing_diagonal(grid.n))
 
 
@@ -236,42 +230,20 @@ def _rhs_equivalence_residual(grid: TruncationGrid, rng: np.random.Generator) ->
     return worst / max(scale, 1e-300)
 
 
-def run_identity_suite(
-    n: int,
-    seed: int = 0,
-    alpha_override: np.ndarray | None = None,
-) -> list[CheckReport]:
-    """The eight structural checks, in dependency order.
-
-    ``alpha_override`` substitutes a dense structure-constant array for
-    the checks that consume structure constants directly (antisymmetry,
-    Jacobi, Killing); this is the fault-injection entry point.
-    """
+def run_identity_suite(n: int, seed: int = 0) -> list[CheckReport]:
+    """The eight structural checks, in dependency order."""
     grid = build_grid(n)
     if n > 15:
         raise ValueError(f"identity suite is capped at n = 15, got {n}")
     rng = np.random.default_rng(seed)
     base = {"n": n, "seed": seed}
-    dense = alpha_override is not None
     # Each check looks its helper up as a module global when it runs, so a
     # patched helper (as the benchmark's span tracer installs) is the one
     # called; running them in this order keeps the rng draws in order.
     checks = (
-        (
-            "alpha-antisymmetry",
-            1e-15,
-            lambda: (
-                dense_antisymmetry_residual(alpha_override)
-                if dense
-                else _table_antisymmetry_residual(grid)
-            ),
-        ),
-        (
-            "jacobi-identity",
-            1e-12,
-            lambda: dense_jacobi_residual(alpha_override) if dense else _table_jacobi_residual(grid),
-        ),
-        ("killing-form", 1e-12, lambda: _killing_residual(grid, alpha_override)),
+        ("alpha-antisymmetry", 1e-15, lambda: _table_antisymmetry_residual(grid)),
+        ("jacobi-identity", 1e-12, lambda: _table_jacobi_residual(grid)),
+        ("killing-form", 1e-12, lambda: _killing_residual(grid)),
         ("orthogonality", 1e-11, lambda: _orthogonality_residual(grid)),
         ("casimir-commutes", 1e-12, lambda: _casimir_residual(grid, rng)),
         ("nambu-reduction", 1e-12, lambda: _reduction_residual(grid, rng)),

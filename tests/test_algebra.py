@@ -23,6 +23,7 @@ from sinebracket.algebra import (
     alpha_continuum,
     alpha_zeitlin,
     alpha_zeitlin_dense,
+    casimir_scale,
     construct_generic,
     dedupe_violations,
     dense_antisymmetry_residual,
@@ -40,6 +41,7 @@ from sinebracket.algebra import (
     orthogonality_check,
     quadratic_casimir,
     scan_gen_jacobi,
+    scan_gen_jacobi_continuum,
     sine_table,
     support_nambu_bracket,
 )
@@ -278,7 +280,7 @@ def test_sine_nambu_scaling_matches_killing_route():
     dense_alpha = alpha_zeitlin_dense(grid)
     t = SineNambuTensor(grid)
     kappa = KILLING_DIAGONAL_ANCHORS[n]
-    r = t.scaling
+    r = casimir_scale(n)
     for ai, i in enumerate(grid):
         for bj, j in enumerate(grid):
             for ck, k in enumerate(grid):
@@ -366,12 +368,11 @@ def test_nambu_reduction_to_lie_poisson():
     grid = build_grid(5)
     rng = np.random.default_rng(5)
     e = enstrophy_functional(grid)
-    t = SineNambuTensor(grid)
     for seed in range(3):
         field = random_shell_field(grid, seed=10 + seed, shell_max=8.0, amplitude=1.5)
         f1 = random_real_polynomial(grid, rng).as_functional("f1")
         f2 = random_real_polynomial(grid, rng).as_functional("f2")
-        triple = nambu_bracket(t, f1, f2, e, field)
+        triple = nambu_bracket(grid, field, f1, f2, e)
         double = lie_poisson_bracket(grid, field, f1, f2)
         scale = max(abs(double), 1e-12)
         assert abs(triple - double) <= 1e-12 * scale
@@ -380,13 +381,12 @@ def test_nambu_reduction_to_lie_poisson():
 def test_nambu_bracket_total_antisymmetry():
     grid = build_grid(5)
     rng = np.random.default_rng(6)
-    t = SineNambuTensor(grid)
     field = random_shell_field(grid, seed=20, shell_max=8.0, amplitude=1.5)
     fs = [random_real_polynomial(grid, rng).as_functional(f"f{i}") for i in range(3)]
-    base = nambu_bracket(t, fs[0], fs[1], fs[2], field)
-    assert nambu_bracket(t, fs[1], fs[0], fs[2], field) == pytest.approx(-base, rel=1e-9, abs=1e-13)
-    assert nambu_bracket(t, fs[2], fs[1], fs[0], field) == pytest.approx(-base, rel=1e-9, abs=1e-13)
-    assert nambu_bracket(t, fs[1], fs[2], fs[0], field) == pytest.approx(base, rel=1e-9, abs=1e-13)
+    base = nambu_bracket(grid, field, fs[0], fs[1], fs[2])
+    assert nambu_bracket(grid, field, fs[1], fs[0], fs[2]) == pytest.approx(-base, rel=1e-9, abs=1e-13)
+    assert nambu_bracket(grid, field, fs[2], fs[1], fs[0]) == pytest.approx(-base, rel=1e-9, abs=1e-13)
+    assert nambu_bracket(grid, field, fs[1], fs[2], fs[0]) == pytest.approx(base, rel=1e-9, abs=1e-13)
 
 
 def test_brackets_refuse_a_field_without_conjugate_symmetry():
@@ -399,7 +399,7 @@ def test_brackets_refuse_a_field_without_conjugate_symmetry():
     with pytest.raises(ValidationError, match="Lie-Poisson bracket .* is not real"):
         lie_poisson_bracket(grid, field, h, f)
     with pytest.raises(ValidationError, match="Nambu bracket .* is not real"):
-        nambu_bracket(SineNambuTensor(grid), h, f, e, field)
+        nambu_bracket(grid, field, h, f, e)
 
 
 def test_support_bracket_matches_field_bracket():
@@ -413,9 +413,7 @@ def test_support_bracket_matches_field_bracket():
     field = random_shell_field(grid, seed=3, shell_max=4.0, amplitude=1.0)
     assignment = {v: field.get(v) for v in grid}
     sparse = support_nambu_bracket(t, p1, p2, p3, assignment)
-    dense = nambu_bracket(
-        t, p1.as_functional(), p2.as_functional(), p3.as_functional(), field
-    )
+    dense = nambu_bracket(grid, field, p1.as_functional(), p2.as_functional(), p3.as_functional())
     assert sparse.real == pytest.approx(dense, rel=1e-12, abs=1e-16)
     assert abs(sparse.imag) <= 1e-14 * max(1.0, abs(sparse.real))
 
@@ -495,7 +493,7 @@ def test_dedupe_matches_per_tuple_oracle(scan5):
     su2 = scan_gen_jacobi(construct_generic(_levi_civita()).nambu)
     assert len(su2) == 36
     assert list(dedupe_violations(su2)) == _reference_dedupe(su2)
-    continuum = scan_gen_jacobi(ContinuumNambuTensor(), bound=1)
+    continuum = scan_gen_jacobi_continuum(1)
     assert list(dedupe_violations(continuum)) == _reference_dedupe(continuum)
 
 
@@ -512,14 +510,12 @@ def test_dedupe_packing_edge_and_overflow():
 
 
 def test_scan_continuum_needs_bound():
-    with pytest.raises(ValueError):
+    # the untruncated tensor has no finite index set: only the bounded scan takes it
+    with pytest.raises(TypeError, match="ContinuumNambuTensor"):
         scan_gen_jacobi(ContinuumNambuTensor())
-    # the bound only limits the untruncated scan; elsewhere it is refused
     with pytest.raises(ValueError, match="bound"):
-        scan_gen_jacobi(SineNambuTensor(build_grid(5)), bound=1)
-    with pytest.raises(ValueError, match="bound"):
-        scan_gen_jacobi(construct_generic(_levi_civita()).nambu, bound=1)
-    violations = scan_gen_jacobi(ContinuumNambuTensor(), bound=1)
+        scan_gen_jacobi_continuum(0)
+    violations = scan_gen_jacobi_continuum(1)
     assert any(v.indices == KNOWN_JACOBI_VIOLATION for v in violations)
     assert all(abs(v.residual) > 0 for v in violations)
 
@@ -546,7 +542,7 @@ def _continuum_scan_oracle(bound):
 
 
 def test_scan_continuum_matches_per_pair_oracle():
-    scan = scan_gen_jacobi(ContinuumNambuTensor(), bound=1)
+    scan = scan_gen_jacobi_continuum(1)
     oracle = _continuum_scan_oracle(1)
     assert len(scan) == len(oracle) == 2032
     # same order, same wave vectors, bitwise-equal residuals
@@ -554,7 +550,7 @@ def test_scan_continuum_matches_per_pair_oracle():
 
 
 def test_scan_continuum_bound_two_counts():
-    scan = scan_gen_jacobi(ContinuumNambuTensor(), bound=2)
+    scan = scan_gen_jacobi_continuum(2)
     assert len(scan) == 236128
     assert len(dedupe_violations(scan)) == 86888
     row = scan.find(KNOWN_JACOBI_VIOLATION)
@@ -614,7 +610,7 @@ def test_generic_zeitlin_cross_check():
     n = 3
     grid = build_grid(n)
     dense = alpha_zeitlin_dense(grid)
-    algebra = construct_generic(dense, scaling=SineNambuTensor(grid).scaling)
+    algebra = construct_generic(dense, scaling=casimir_scale(n))
     t = SineNambuTensor(grid)
     for ai, i in enumerate(grid):
         for bj, j in enumerate(grid):

@@ -207,6 +207,78 @@ def test_run_refuses_malformed_mode_rows(tmp_path, capsys, row, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"shceme": "implicit_midpoint"}, "shceme"),
+        ({"initial_condition": {"type": "shell", "amplitud": 50}}, "amplitud"),
+        ({"initial_condition": {"amplitude": 2.0, "modes": []}}, "modes"),
+        ({"initial_condition": {"type": "modes", "modes": [[1, 0, 1.0, 0.0]], "seed": 1}}, "seed"),
+        ({"initial_condition": {"type": "physical_csv", "path": "x.csv", "amplitude": 1}}, "amplitude"),
+    ],
+)
+def test_run_refuses_unknown_config_keys(tmp_path, capsys, overrides, key):
+    # a misspelt key once did nothing: "shceme" ran RK4 and exited 0
+    cfg_path, _ = _write_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "unknown" in err and repr(key) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_refuses_a_config_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps("shell"))
+    assert main(["run", "--config", str(path)]) == EXIT_USAGE
+    assert "the top-level settings must be a JSON object, got 'shell'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "modes, message",
+    [
+        ([[1, 0, 1.0, 0.0], [1, 0, 3.0, 0.0]], "mode (1, 0) is given twice"),
+        ([[1, 0, 1.0, 0.0], [1.0, 0, 1.0, 0.0]], "mode (1, 0) is given twice"),
+        ([[1, 0, 1.0, 0.0], [-1, 0, 2.0, 0.5]], "modes (1, 0) and (-1, 0) must be complex conjugates"),
+    ],
+)
+def test_run_refuses_inconsistent_mode_lists(tmp_path, capsys, modes, message):
+    # a repeated mode once kept its last row, and a non-conjugate pair
+    # exited 3 from the integrator as a runtime failure
+    cfg_path, _ = _write_config(tmp_path, initial_condition={"type": "modes", "modes": modes})
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and message in err and "integration failed" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_accepts_an_explicit_conjugate_pair(tmp_path):
+    modes = [[1, 0, 1.0, 0.5], [-1, 0, 1.0, -0.5]]
+    cfg_path, _ = _write_config(tmp_path, initial_condition={"type": "modes", "modes": modes})
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+    initial = load_mode_field(tmp_path / "out" / "initial_state.csv")
+    assert initial.get((1, 0)) == 1.0 + 0.5j and initial.get((-1, 0)) == 1.0 - 0.5j
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"out_dir": None}, "out_dir must be a string, got None"),
+        ({"out_dir": 5}, "out_dir must be a string, got 5"),
+        ({"scheme": None}, "scheme must be a string, got None"),
+        ({"scheme": ["rk4"]}, "scheme must be a string, got ['rk4']"),
+        ({"initial_condition": {"type": "physical_csv", "path": 1}}, "path must be a string, got 1"),
+    ],
+)
+def test_run_refuses_non_string_fields(tmp_path, capsys, monkeypatch, overrides, message):
+    # "out_dir": null once wrote into a directory named None
+    monkeypatch.chdir(tmp_path)
+    cfg_path, _ = _write_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_run_summary_reports_steps_per_second(tmp_path):
     cfg_path, config = _write_config(tmp_path)
     assert main(["run", "--config", str(cfg_path)]) == EXIT_OK

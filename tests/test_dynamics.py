@@ -167,7 +167,8 @@ def test_lower_inverts_lift_and_is_exactly_real(n):
 def test_weyl_transforms_round_trip(n):
     grid = build_grid(n)
     zw = _wrapped(_random_real_field(grid, seed=n), n)
-    back = dynamics._from_weyl_matrix(n, dynamics._to_weyl_matrix(n, zw))
+    matrix = dynamics._to_weyl_matrix(n, zw.copy(), np.empty((n, n), dtype=np.complex128))
+    back = dynamics._from_weyl_matrix(n, matrix, np.empty((n, n), dtype=np.complex128))
     assert np.max(np.abs(back - zw)) <= 1e-14 * np.max(np.abs(zw))
 
 
@@ -176,9 +177,10 @@ def test_from_weyl_adjoint_rule(n):
     # from-Weyl(X^H)_k = conj(from-Weyl(X)_{-k}); rhs_fast rests on it.
     rng = np.random.default_rng(n)
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    direct = dynamics._from_weyl_matrix(n, x.conj().T)
+    direct = dynamics._from_weyl_matrix(n, x.conj().T, np.empty((n, n), dtype=np.complex128))
     neg = (-np.arange(n)) % n
-    mirrored = np.conj(dynamics._from_weyl_matrix(n, x)[neg[:, None], neg[None, :]])
+    modes = dynamics._from_weyl_matrix(n, x, np.empty((n, n), dtype=np.complex128))
+    mirrored = np.conj(modes[neg[:, None], neg[None, :]])
     assert np.max(np.abs(direct - mirrored)) <= 1e-14 * np.max(np.abs(direct))
 
 

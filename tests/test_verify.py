@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from sinebracket.algebra import _pair_tables, alpha_zeitlin_dense
+from sinebracket import algebra, verify
+from sinebracket.algebra import _pair_tables
 from sinebracket.grid import build_grid
 from sinebracket.verify import (
     _table_jacobi_residual,
@@ -86,29 +87,21 @@ def test_identity_suite_rejects_bad_n():
             run_identity_suite(bad)
 
 
-def test_fault_injection_is_caught():
-    grid = build_grid(5)
-    dense = alpha_zeitlin_dense(grid)
-    nz = np.argwhere(dense != 0.0)
-    a, b, c = nz[7]
-    corrupted = dense.copy()
-    corrupted[a, b, c] *= -1.0
-    reports = {r.name: r for r in run_identity_suite(5, alpha_override=corrupted)}
-    assert not reports["alpha-antisymmetry"].passed
-    assert not reports["jacobi-identity"].passed
-    assert not reports["killing-form"].passed
-    # checks that do not consume the override still pass
+def test_fault_injection_is_caught(monkeypatch):
+    # One sine entry with its sign flipped, seen by every check that reads
+    # the pair tables of the algebra or of the suite itself.
+    tables = _pair_tables(5)
+    a, b = np.argwhere(tables.sin_cross != 0.0)[7]
+    flipped = tables.sin_cross.copy()
+    flipped[a, b] *= -1.0
+    corrupted = tables._replace(sin_cross=flipped)
+    for module in (algebra, verify):
+        monkeypatch.setattr(module, "_pair_tables", lambda n: corrupted)
+    reports = {r.name: r for r in run_identity_suite(5)}
+    for name in ("alpha-antisymmetry", "jacobi-identity", "killing-form", "nambu-antisymmetry"):
+        assert not reports[name].passed, name
+    # the discrete orthogonality reads the cosine table only
     assert reports["orthogonality"].passed
-    assert reports["rhs-equivalence"].passed
-
-
-def test_clean_override_passes():
-    grid = build_grid(3)
-    dense = alpha_zeitlin_dense(grid)
-    reports = {r.name: r for r in run_identity_suite(3, alpha_override=dense)}
-    assert reports["alpha-antisymmetry"].passed
-    assert reports["jacobi-identity"].passed
-    assert reports["killing-form"].passed
 
 
 def test_report_serialization_round():

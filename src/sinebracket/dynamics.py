@@ -19,11 +19,15 @@ side are provided and must agree to rounding:
 
 The fast route rewrites the truncated field as an n x n matrix over the
 clock-and-shift basis, where the sine bracket becomes an exact matrix
-commutator (the su(n) realisation of the truncation); the mode <-> matrix
-transforms are per-diagonal FFTs plus one flat gather each.  A real field
-maps to a Hermitian matrix W, and that matrix is the state the steppers
+commutator (the su(n) realisation of the truncation).  A real field maps
+to a Hermitian matrix W, and that matrix is the state the steppers
 advance: :func:`lift` builds it once per run, :func:`lower` returns to
-modes where they are read (records, the final state).  The commutator with
+modes where they are read (records, the final state).  The mode <-> matrix
+transforms are one flat gather and one FFT per diagonal, on half-width
+tables: a Hermitian or skew-Hermitian matrix is fixed by its diagonals
+0..(n-1)/2, the rest are conjugate mirrors, so only those (n+1)/2 rows are
+transformed.  Only lift and lower apply the phase of the basis; in the
+tendency the phases of the two transforms cancel.  The commutator with
 the skew-Hermitian stream matrix B is BW + (BW)^H, one matmul, and it is
 Hermitian bitwise, so the stepped W stays exactly Hermitian and every
 lowered state exactly real.  The sum defining the tendency couples input
@@ -64,7 +68,6 @@ from .grid import (
     _invariants,
     _quadratic_sum,
     _quadratic_terms,
-    _wrap_index,
     _wrapped,
     build_grid,
     energy,  # noqa: F401  (perfbench/spans.py traces the diagnostics under these names)
@@ -153,33 +156,54 @@ def rhs_from_lie_poisson(grid: TruncationGrid, field: ModeField) -> ModeField:
 
 
 class _WeylTables:
-    """Flat gather indices and phase tables of the clock-and-shift basis at one n."""
+    """Gather indices, phases and stream scale of the clock-and-shift basis at one n.
+
+    The transforms work on half-width tables of (n+1)/2 rows and n columns:
+    row c holds diagonal c of a matrix, or the modes with k2 = c, so that
+    the FFT runs along the contiguous axis.  The rows c = 0..(n-1)/2 fix a
+    Hermitian or skew-Hermitian matrix, whose other diagonals are conjugate
+    mirrors of these.
+    """
 
     def __init__(self, n: int):
         m = (n - 1) // 2
         half_inv = (n + 1) // 2  # inverse of 2 modulo odd n
         rows = np.arange(n)
+        c, a = np.arange(m + 1)[:, None], rows[None, :]
         # basis element for wave vector k: lam^(k1 k2 / 2) g^k1 h^k2 with
         # g = diag(lam^a), (h v)_a = v_{a+1}, lam = exp(4i pi/n); the /2 is
         # the mod-n inverse, making the element n-periodic in both indices.
-        self.phase = np.exp((4j * np.pi / n) * ((half_inv * np.outer(rows, rows)) % n))
-        self.conj_phase = np.conj(self.phase)
-        r, c = rows[:, None], rows[None, :]
-        # to-Weyl: matrix[r, j] = spectral[2r mod n, (j - r) mod n].
-        self.to_matrix = ((2 * r) % n) * n + (c - r) % n
-        # from-Weyl: the diagonal table D[r, c] = matrix[r, (r + c) mod n]
-        # is gathered with row r' holding row r'/2 mod n, so that row r' of
-        # the FFT of the gathered table is row 2r' of the FFT of D, which puts
-        # the output rows in wave-vector order.
-        hr = (half_inv * r) % n
+        # phase[c, k1] is that factor for k2 = c.
+        self.phase = np.exp((4j * np.pi / n) * ((half_inv * c * a) % n))
+        # from-Weyl: diagonal c, D[r, c] = matrix[r, (r + c) mod n], is
+        # gathered with entry r' holding D[r'/2 mod n, c], so that entry k1
+        # of its FFT is entry 2 k1 of the FFT of D, which puts the output in
+        # wave-vector order.
+        hr = (half_inv * a) % n
         self.from_matrix = hr * n + (hr + c) % n
-        # stream scale: B = to-Weyl(zw * stream) = (n i/4pi) P for the stream
-        # matrix P of the field, with P's coefficients -zeta_k/|k|^2.
+        # to-Weyl: with E[c, rho] the inverse FFT of row c and d = (j - r)
+        # mod n, matrix[r, j] = E[d, 2r mod n] on the diagonals d <= m.  A
+        # skew-Hermitian matrix has matrix[r, j] = -conj(matrix[j, r]), that
+        # is E[-c, rho] = -conj(E[c, rho - 2c]); the rows m + c of the
+        # gathered table hold -conj(E[c]), read at column 2j mod n.
+        r, j = rows[:, None], rows[None, :]
+        d = (j - r) % n
+        self.to_matrix = np.where(d <= m, d * n + (2 * r) % n, (m + n - d) * n + (2 * j) % n)
+        # stream scale: B = to-Weyl(modes * stream) = (n i/4pi) P for the
+        # stream matrix P of the field, with P's coefficients -zeta_k/|k|^2;
+        # the phases of from-Weyl and to-Weyl cancel between them.
         signed = np.where(rows > m, rows - n, rows)
-        norms2 = signed[:, None] ** 2 + signed[None, :] ** 2
-        self.stream = np.zeros((n, n), dtype=np.complex128)
+        norms2 = c**2 + signed[None, :] ** 2
+        self.stream = np.zeros((m + 1, n), dtype=np.complex128)
         self.stream[norms2 > 0] = (-0.25j * n / np.pi) / norms2[norms2 > 0]
-        for arr in (self.phase, self.conj_phase, self.to_matrix, self.from_matrix, self.stream):
+        # lower: retained k in canonical order read from the half table,
+        # at (k2, k1) when k2 >= 0 and conjugated from -k otherwise.
+        v = build_grid(n).vectors
+        self.mirrored = v[:, 1] < 0
+        k2, k1 = np.abs(v[:, 1]), np.where(self.mirrored, -v[:, 0], v[:, 0]) % n
+        self.from_modes = k2 * n + k1
+        for arr in (self.phase, self.from_matrix, self.to_matrix, self.stream,
+                    self.mirrored, self.from_modes):
             arr.setflags(write=False)
 
 
@@ -209,59 +233,83 @@ def _workspace(n: int) -> _Workspace:
     return _Workspace(n)
 
 
-# np.take buffers ``out`` under its default mode="raise"; the gather
-# indices are in range, so mode="clip" gives the same result without it.
-def _to_weyl_matrix(n: int, wrapped: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """sum_k c_k T_k from wrapped coefficients c[k1 % n, k2 % n], written into ``out``.
+# take buffers ``out`` under its default mode="raise"; the gather indices
+# are in range, so mode="clip" gives the same result without it.  The
+# ndarray method skips np.take's dispatch, about half a gather at n = 21.
+def _to_weyl_matrix(n: int, table: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The skew-Hermitian matrix whose half table fills rows 0..(n-1)/2 of ``table``.
 
-    ``wrapped`` is used as scratch (overwritten), so nothing is allocated.
+    Those rows hold the phase-scaled coefficients c_k phase_k, row k2 and
+    column k1 mod n, of a matrix sum_k c_k T_k with c_{-k} = -conj(c_k).
+    The matrix is written into ``out``; its diagonals below the half are
+    filled from B = -B^H, so it is skew-Hermitian bitwise.  ``table``
+    (n x n) is used as scratch, so nothing is allocated.
     """
-    t = _weyl_tables(n)
-    spectral = np.multiply(wrapped, t.phase, out=wrapped)
-    np.fft.ifft(spectral, axis=0, norm="forward", out=spectral)
-    return np.take(spectral.ravel(), t.to_matrix, out=out, mode="clip")
+    m = (n - 1) // 2
+    half = table[: m + 1]
+    np.fft.ifft(half, axis=1, norm="forward", out=half)
+    half[0].real = 0.0  # the main diagonal is imaginary; drop its rounding
+    mirror = np.conjugate(table[1 : m + 1], out=table[m + 1 :]).view(np.float64)
+    np.negative(mirror, out=mirror)
+    return table.ravel().take(_weyl_tables(n).to_matrix, out=out, mode="clip")
 
 
 def _from_weyl_matrix(n: int, matrix: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Wrapped coefficients of a matrix in the clock-and-shift basis, written into ``out``."""
+    """Half table of a Hermitian matrix, written into the first (n+1)/2 rows of ``out``.
+
+    Returns those rows, the coefficients c_k phase_k of the matrix in the
+    layout :func:`_to_weyl_matrix` reads; the other modes follow from
+    c_{-k} = conj(c_k).
+    """
     t = _weyl_tables(n)
-    spectral = np.take(matrix.ravel(), t.from_matrix, out=out, mode="clip")
-    np.fft.fft(spectral, axis=0, norm="forward", out=spectral)
-    spectral *= t.conj_phase
-    return spectral
+    half = matrix.ravel().take(t.from_matrix, out=out[: len(t.from_matrix)], mode="clip")
+    np.fft.fft(half, axis=1, norm="forward", out=half)
+    return half
 
 
 def lift(field: ModeField) -> np.ndarray:
     """The Hermitian vorticity matrix W = sum_k zeta_k T_k of a real field.
 
-    W is replaced by (W + W^H)/2, which is Hermitian bitwise whatever the
-    rounding of the transform; for a field that is not real this keeps
-    the lift of its real part.
+    The field's real part (zeta_k + conj(zeta_{-k}))/2 is taken first, so a
+    field that is not real lifts as its real part.  Its lift is built as the
+    skew-Hermitian iW and turned by -i, which keeps W Hermitian bitwise.
     """
-    n = field.grid.n
-    w = _to_weyl_matrix(n, _wrapped(field, n), np.empty((n, n), dtype=np.complex128))
-    return 0.5 * (w + w.conj().T)
+    grid = field.grid
+    n, m = grid.n, grid.half
+    z = field.coeffs
+    wrapped = _wrapped(ModeField(grid, 0.5j * (z + np.conj(z[grid.neg_index]))), n)
+    table = np.empty((n, n), dtype=np.complex128)
+    np.multiply(wrapped[:, : m + 1].T, _weyl_tables(n).phase, out=table[: m + 1])
+    w = _to_weyl_matrix(n, table, np.empty((n, n), dtype=np.complex128))
+    w *= -1j
+    return w
 
 
 def lower(w: np.ndarray) -> ModeField:
     """The mode field of a Hermitian matrix; the inverse of :func:`lift`.
 
-    With y the modes of W it returns (y_k + conj(y_{-k}))/2, which
+    The modes y with k2 >= 0 come from the half table, the others from
+    y_{-k} = conj(y_k).  It returns (y_k + conj(y_{-k}))/2, which
     satisfies the reality condition bitwise.  The trace of W, the mean
     component, has no retained mode and is dropped.
     """
     grid = build_grid(w.shape[0])
-    y = _from_weyl_matrix(grid.n, w, np.empty(w.shape, dtype=np.complex128))
-    y = y.ravel().take(_wrap_index(grid.n, grid.n))
+    t = _weyl_tables(grid.n)
+    half = _from_weyl_matrix(grid.n, w, np.empty(w.shape, dtype=np.complex128))
+    y = (half * t.phase.conj()).ravel().take(t.from_modes)
+    np.conjugate(y, out=y, where=t.mirrored)
     return ModeField(grid, 0.5 * (y + np.conj(y[grid.neg_index])))
 
 
 def rhs_fast(grid: TruncationGrid, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Tendency dW/dt of the Hermitian vorticity matrix, one matmul, O(n^3).
 
-    The stream matrix comes from the modes of W scaled by the stream
-    table: B = (n i/4pi) P, skew-Hermitian, with P the matrix of the
-    stream function.  The truncated bracket is exactly
+    The stream matrix B = (n i/4pi) P, with P the matrix of the stream
+    function, is skew-Hermitian.  It comes from the half table of W scaled
+    by the stream table: gather, FFT, scale, inverse FFT and one gather
+    that fills the other half of B from B = -B^H.  The phases of the two
+    transforms cancel, so neither is applied, and only the (n+1)/2 rows
+    of the half table are transformed.  The truncated bracket is exactly
     (n i/4pi) [P, W] = BW + (BW)^H, so one product Y = BW gives a tendency
     that is Hermitian bitwise.  Apart from ``out`` (allocated when not
     given) every array is a scratch matrix of the per-n workspace.
@@ -270,7 +318,7 @@ def rhs_fast(grid: TruncationGrid, w: np.ndarray, out: np.ndarray | None = None)
     ws = _workspace(n)
     scaled = _from_weyl_matrix(n, w, out=ws.spectral)
     scaled *= _weyl_tables(n).stream
-    b_mat = _to_weyl_matrix(n, scaled, out=ws.stream)
+    b_mat = _to_weyl_matrix(n, ws.spectral, out=ws.stream)
     y = np.matmul(b_mat, w, out=ws.spectral)  # the scaled modes are spent
     # Y + Y^H through a copy of Y^T: a ufunc reading the transposed view
     # directly would buffer a full copy of it.
@@ -326,6 +374,10 @@ class SimState:
     ):
         if (field is None) == (matrix is None):
             raise ValueError("a state holds exactly one of a field and a matrix")
+        if matrix is not None:
+            shape = np.shape(matrix)
+            if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 3 or shape[0] % 2 == 0:
+                raise ValueError(f"vorticity matrix must be square with odd n >= 3, got shape {shape}")
         self.time = time
         self._field = field
         self._matrix = matrix
@@ -487,7 +539,11 @@ def integrate(
         return rhs(grid, w, out=out)
 
     implicit = config.scheme == "implicit_midpoint"
-    # Accepted states of this run, newest first.  With a single state the
+    # Accepted states of this run in a ring: step s writes slot s mod
+    # len(history), so slot i holds the state (s - 1 - i) mod len(history)
+    # steps older than the newest when step s starts.  Only the ``kept``
+    # slots written so far are read, since a zero weight on an unwritten
+    # (NaN) row would still poison the guess.  With a single state the
     # zero-order guess W_n would only reach the Euler guess one sweep
     # later, so the first step keeps the Euler guess.
     kept = 1
@@ -501,7 +557,8 @@ def integrate(
             before = counts.calls
             guess = None
             if implicit and kept > 1:
-                guess = (_GUESS_WEIGHTS[kept - 1] @ history[:kept]).reshape(w.shape)
+                ages = (s - 1 - np.arange(kept)) % len(history)
+                guess = (_GUESS_WEIGHTS[kept - 1][ages] @ history[:kept]).reshape(w.shape)
             current = step(current, config, counted, guess)
             counts.steps += 1
             counts.max_per_step = max(counts.max_per_step, counts.calls - before)
@@ -511,8 +568,7 @@ def integrate(
                     f"vorticity matrix has non-finite entries after step {s} (t={current.time!r})"
                 )
             if implicit:
-                history[1:] = history[:-1]
-                history[0] = w.ravel()
+                history[s % len(history)] = w.ravel()
                 kept = min(kept + 1, len(history))
             if s % config.record_every == 0 or s == config.steps:
                 records.append(_record(current, h0, e0))

@@ -45,12 +45,7 @@ def test_stepping_defaults_to_rhs_fast():
         assert inspect.signature(fn).parameters["rhs"].default is dynamics.rhs_fast
 
 
-def test_rhs_fast_reaches_each_traced_layer(monkeypatch):
-    # The tracer times wrap, to-Weyl and from-Weyl by patching these module
-    # globals, so rhs_fast must keep looking them up there.  It steps the
-    # lifted matrix, so the wrap belongs to the lift, once per run.
-    grid = sinebracket.build_grid(9)
-    w = dynamics.lift(dynamics.random_shell_field(grid, seed=0))
+def _count_traced_layers(monkeypatch, call):
     calls = {"_wrapped": 0, "_to_weyl_matrix": 0, "_from_weyl_matrix": 0}
     for name in calls:
         original = getattr(dynamics, name)
@@ -60,8 +55,33 @@ def test_rhs_fast_reaches_each_traced_layer(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, name, counting)
-    dynamics.rhs_fast(grid, w)
+    call()
+    monkeypatch.undo()
+    return calls
+
+
+def test_rhs_fast_reaches_each_traced_layer(monkeypatch):
+    # The tracer times wrap, to-Weyl and from-Weyl by patching these module
+    # globals, so rhs_fast must keep looking them up there.  Each call runs
+    # one half-width transform each way, and the to-Weyl one also fills the
+    # other half of the stream matrix.  It steps the lifted matrix, so the
+    # wrap belongs to the lift, once per run.
+    grid = sinebracket.build_grid(9)
+    w = dynamics.lift(dynamics.random_shell_field(grid, seed=0))
+    calls = _count_traced_layers(monkeypatch, lambda: dynamics.rhs_fast(grid, w))
     assert calls == {"_wrapped": 0, "_to_weyl_matrix": 1, "_from_weyl_matrix": 1}
+
+
+def test_lift_and_lower_each_reach_one_transform(monkeypatch):
+    # Every run lifts its initial field and lowers its records, so the
+    # to-Weyl and from-Weyl spans fire on each run and verify workload.
+    grid = sinebracket.build_grid(9)
+    field = dynamics.random_shell_field(grid, seed=0)
+    calls = _count_traced_layers(monkeypatch, lambda: dynamics.lift(field))
+    assert calls == {"_wrapped": 1, "_to_weyl_matrix": 1, "_from_weyl_matrix": 0}
+    w = dynamics.lift(field)
+    calls = _count_traced_layers(monkeypatch, lambda: dynamics.lower(w))
+    assert calls == {"_wrapped": 0, "_to_weyl_matrix": 0, "_from_weyl_matrix": 1}
 
 
 def _run_config(tmp_path, name, **settings):

@@ -163,25 +163,101 @@ def test_lower_inverts_lift_and_is_exactly_real(n):
     assert lower(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))).reality_residual() == 0.0
 
 
-@pytest.mark.parametrize("n", [5, 21])
-def test_weyl_transforms_round_trip(n):
-    grid = build_grid(n)
-    zw = _wrapped(_random_real_field(grid, seed=n), n)
-    matrix = dynamics._to_weyl_matrix(n, zw.copy(), np.empty((n, n), dtype=np.complex128))
-    back = dynamics._from_weyl_matrix(n, matrix, np.empty((n, n), dtype=np.complex128))
-    assert np.max(np.abs(back - zw)) <= 1e-14 * np.max(np.abs(zw))
+# The full-width transforms of the whole wrapped table, phases applied, as
+# rhs_fast ran them before its half-width tables: the oracle of the tests
+# below.
 
 
-@pytest.mark.parametrize("n", [5, 21])
-def test_from_weyl_adjoint_rule(n):
-    # from-Weyl(X^H)_k = conj(from-Weyl(X)_{-k}); rhs_fast rests on it.
-    rng = np.random.default_rng(n)
+def _full_width_tables(n):
+    half_inv = (n + 1) // 2
+    rows = np.arange(n)
+    r, c = rows[:, None], rows[None, :]
+    phase = np.exp((4j * np.pi / n) * ((half_inv * np.outer(rows, rows)) % n))
+    to_matrix = ((2 * r) % n) * n + (c - r) % n
+    hr = (half_inv * r) % n
+    from_matrix = hr * n + (hr + c) % n
+    signed = np.where(rows > (n - 1) // 2, rows - n, rows)
+    norms2 = signed[:, None] ** 2 + signed[None, :] ** 2
+    stream = np.zeros((n, n), dtype=np.complex128)
+    stream[norms2 > 0] = (-0.25j * n / np.pi) / norms2[norms2 > 0]
+    return phase, to_matrix, from_matrix, stream
+
+
+def _full_to_weyl(n, wrapped):
+    """sum_k c_k T_k from wrapped coefficients c[k1 % n, k2 % n]."""
+    phase, to_matrix, _, _ = _full_width_tables(n)
+    return np.fft.ifft(wrapped * phase, axis=0, norm="forward").ravel()[to_matrix]
+
+
+def _full_from_weyl(n, matrix):
+    """Wrapped coefficients c[k1 % n, k2 % n] of a matrix in the clock-and-shift basis."""
+    phase, _, from_matrix, _ = _full_width_tables(n)
+    return np.fft.fft(matrix.ravel()[from_matrix], axis=0, norm="forward") * np.conj(phase)
+
+
+def _random_hermitian(n, seed):
+    rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    direct = dynamics._from_weyl_matrix(n, x.conj().T, np.empty((n, n), dtype=np.complex128))
-    neg = (-np.arange(n)) % n
-    modes = dynamics._from_weyl_matrix(n, x, np.empty((n, n), dtype=np.complex128))
-    mirrored = np.conj(modes[neg[:, None], neg[None, :]])
-    assert np.max(np.abs(direct - mirrored)) <= 1e-14 * np.max(np.abs(direct))
+    return x + x.conj().T
+
+
+def _close(actual, expected, rel=1e-14):
+    return np.max(np.abs(actual - expected)) <= rel * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("n", [3, 5, 21, 161])
+def test_half_width_transforms_match_the_full_width_reference(n):
+    m = (n - 1) // 2
+    phase = _full_width_tables(n)[0]
+    # from-Weyl: the phase-scaled modes with k2 = 0..m, one row per k2
+    x = _random_hermitian(n, seed=n)
+    half = dynamics._from_weyl_matrix(n, x, np.empty((n, n), dtype=np.complex128))
+    assert half.shape == (m + 1, n)
+    assert _close(half, (_full_from_weyl(n, x) * phase)[:, : m + 1].T)
+    # to-Weyl: coefficients with c_{-k} = -conj(c_k) give a skew-Hermitian matrix
+    coeffs = 1j * _wrapped(_random_real_field(build_grid(n), seed=n), n)
+    table = np.empty((n, n), dtype=np.complex128)
+    table[: m + 1] = (coeffs * phase)[:, : m + 1].T
+    expected_table = table[: m + 1].copy()
+    b = dynamics._to_weyl_matrix(n, table, np.empty((n, n), dtype=np.complex128))
+    assert np.array_equal(b, -b.conj().T)  # skew-Hermitian bitwise
+    assert _close(b, _full_to_weyl(n, coeffs))
+    # and back
+    back = dynamics._from_weyl_matrix(n, b, np.empty((n, n), dtype=np.complex128))
+    assert _close(back, expected_table)
+
+
+@pytest.mark.parametrize("n", [3, 5, 21, 161])
+def test_lift_lower_and_rhs_fast_match_the_full_width_reference(n):
+    grid = build_grid(n)
+    field = _random_real_field(grid, seed=n)
+    w = lift(field)
+    assert _close(w, _full_to_weyl(n, _wrapped(field, n)))
+    x = _random_hermitian(n, seed=n + 1)
+    v = grid.vectors
+    assert _close(lower(x).coeffs, _full_from_weyl(n, x)[v[:, 0] % n, v[:, 1] % n])
+    stream = _full_width_tables(n)[3]
+    y = _full_to_weyl(n, _full_from_weyl(n, w) * stream) @ w
+    assert _close(rhs_fast(grid, w), y + y.conj().T)
+
+
+@pytest.mark.parametrize("n", [5, 21])
+def test_rhs_fast_transforms_only_the_half_table(n, monkeypatch):
+    # A Hermitian W fixes its modes by the (n+1)/2 rows k2 = 0..(n-1)/2,
+    # so one call transforms ((n+1)/2) n entries each way, not n^2.
+    grid = build_grid(n)
+    w = lift(_random_real_field(grid, seed=n))
+    sizes = {"fft": [], "ifft": []}
+    for name in sizes:
+        original = getattr(np.fft, name)
+
+        def counting(a, *args, _name=name, _original=original, **kwargs):
+            sizes[_name].append(np.size(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    rhs_fast(grid, w)
+    assert sizes == {"fft": [(n + 1) // 2 * n], "ifft": [(n + 1) // 2 * n]}
 
 
 @pytest.mark.parametrize("n", [5, 21])
@@ -397,6 +473,29 @@ def test_integrate_starts_each_run_from_the_euler_guess():
         assert np.array_equal(one.field.coeffs, step(start, cfg).field.coeffs)
 
 
+def test_integrate_guess_extrapolates_the_newest_states(monkeypatch):
+    # 15 steps wrap the nine-state ring; each guess must still weigh the
+    # accepted states newest first, z* = sum_j (-1)^j C(q+1, j+1) z_{n-j}.
+    # The weights reach 2^9 - 1 in absolute sum, so the summation order
+    # shows at 1e-14; a state in the wrong slot would show at about dt.
+    state, config = _midpoint_case(seed=5, dt=1e-3, steps=15, n=7)
+    accepted, guesses = [state.matrix], []
+
+    def spy(current, cfg, rhs, guess=None):
+        guesses.append(guess)
+        advanced = step(current, cfg, rhs, guess)
+        accepted.append(advanced.matrix)
+        return advanced
+
+    monkeypatch.setattr(dynamics, "step", spy)
+    integrate(state, config)
+    assert guesses[0] is None
+    for s, guess in enumerate(guesses[1:], start=1):
+        q = min(s, 8)
+        expected = sum((-1) ** j * math.comb(q + 1, j + 1) * accepted[s - j] for j in range(q + 1))
+        assert _close(guess, expected, rel=1e-12)
+
+
 def test_integrate_counts_rhs_calls_per_step():
     grid = build_grid(7)
     field = _band_field(grid, seed=4, amplitude=1.0)
@@ -525,6 +624,12 @@ def test_sim_state_holds_a_field_or_a_matrix():
     for bad in ({}, {"field": field, "matrix": w}):
         with pytest.raises(ValueError):
             SimState(0.0, **bad)
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (4, 4), (1, 1), (9,), (3, 3, 3)])
+def test_sim_state_refuses_a_matrix_that_is_not_square_with_odd_n(shape):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        SimState(0.0, matrix=np.zeros(shape, dtype=np.complex128))
 
 
 def test_rk4_step_allocates_little_beyond_the_new_state():

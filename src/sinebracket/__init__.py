@@ -58,7 +58,6 @@ from .algebra import (
 from .dynamics import (
     DiagnosticsRecord,
     IntegratorConfig,
-    SimState,
     enstrophy_functional,
     enstrophy_gradient,
     hamiltonian_functional,

@@ -30,7 +30,6 @@ import numpy as np
 from .dynamics import (
     IntegratorConfig,
     RhsCounts,
-    SimState,
     integrate,
     random_shell_field,
 )
@@ -221,7 +220,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         counts = RhsCounts()
         started = time.perf_counter()
-        final, records = integrate(SimState(0.0, field), integrator, counts=counts)
+        final, records = integrate(field, integrator, counts=counts)
         wall = time.perf_counter() - started
     except (StepConvergenceError, ConsistencyError, ValidationError) as exc:
         print(f"error: integration failed: {exc}", file=sys.stderr)
@@ -238,7 +237,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "summary": out / "summary.json",
     }
     save_mode_field(paths["initial_state"], field)
-    save_mode_field(paths["final_state"], final.field)
+    save_mode_field(paths["final_state"], final)
     save_diagnostics(paths["diagnostics"], records)
     last = records[-1]
     summary = {

@@ -47,6 +47,9 @@ costs no rhs call and lands within about one contraction sweep of the
 solution at small dt.  The guess moves the result only within the solver
 tolerance, and reruns stay bitwise identical.  :func:`integrate` also
 counts the rhs calls of the run and stops at the first non-finite state.
+
+:func:`step` maps a matrix to a matrix and knows no time;
+:func:`integrate` maps a field to a field and keeps the time.
 """
 
 from __future__ import annotations
@@ -358,39 +361,6 @@ class IntegratorConfig:
             raise ValueError(f"record_every must be at least 1, got {self.record_every}")
 
 
-class SimState:
-    """Integration state: the time and the vorticity.
-
-    A state holds either the mode field it was built with or the Hermitian
-    matrix W that :func:`step` returned (``SimState(t, matrix=w)``).  The
-    other form is computed on each read, by :func:`lift` or :func:`lower`,
-    and never kept, so the two cannot disagree.
-    """
-
-    __slots__ = ("time", "_field", "_matrix")
-
-    def __init__(
-        self, time: float, field: ModeField | None = None, *, matrix: np.ndarray | None = None
-    ):
-        if (field is None) == (matrix is None):
-            raise ValueError("a state holds exactly one of a field and a matrix")
-        if matrix is not None:
-            shape = np.shape(matrix)
-            if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 3 or shape[0] % 2 == 0:
-                raise ValueError(f"vorticity matrix must be square with odd n >= 3, got shape {shape}")
-        self.time = time
-        self._field = field
-        self._matrix = matrix
-
-    @property
-    def field(self) -> ModeField:
-        return lower(self._matrix) if self._field is None else self._field
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return lift(self._field) if self._matrix is None else self._matrix
-
-
 @dataclass(frozen=True)
 class DiagnosticsRecord:
     """Conserved-quantity snapshot; drifts are relative to the initial values."""
@@ -423,21 +393,24 @@ def _axpy(out: np.ndarray, a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray
 
 
 def step(
-    state: SimState,
+    w: np.ndarray,
     config: IntegratorConfig,
     rhs: RhsFunction = rhs_fast,
     guess: np.ndarray | None = None,
-) -> SimState:
-    """Advance the matrix W one step; the input state is left untouched.
+) -> np.ndarray:
+    """The Hermitian vorticity matrix W advanced by one step of ``config.dt``.
 
-    RK4 stages and midpoint sweeps run in the per-n workspace; the only
-    array allocated is the returned state's matrix (and W itself when the
-    input state holds a field).  ``rhs`` writes each tendency into the
-    ``out`` it is given.  ``guess`` (a matrix) starts the implicit midpoint
-    solve in place of the explicit-Euler guess (RK4 ignores it).  A
-    non-finite solver update raises :class:`ConsistencyError` at once.
+    ``w`` is left untouched and must be square with odd n >= 3, else
+    :class:`ValueError`.  RK4 stages and midpoint sweeps run in the per-n
+    workspace; the only array allocated is the returned matrix.  ``rhs``
+    writes each tendency into the ``out`` it is given.  ``guess`` (a
+    matrix) starts the implicit midpoint solve in place of the
+    explicit-Euler guess (RK4 ignores it).  A non-finite solver update
+    raises :class:`ConsistencyError` at once.
     """
-    w = state.matrix
+    shape = np.shape(w)
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 3 or shape[0] % 2 == 0:
+        raise ValueError(f"vorticity matrix must be square with odd n >= 3, got shape {shape}")
     grid = build_grid(len(w))
     dt = config.dt
     ws = _workspace(grid.n)
@@ -472,19 +445,19 @@ def step(
             update = np.subtract(improved, current, out=slope)
             previous, delta = delta, float(np.abs(update, out=ws.magnitude).max())
             if not math.isfinite(delta):
-                raise ConsistencyError(f"implicit midpoint update is non-finite at t={state.time!r}")
+                raise ConsistencyError("implicit midpoint update is non-finite")
             current, trial = improved, current
             if delta <= _MIDPOINT_TOL * scale:
                 break
         else:
             raise StepConvergenceError(
                 f"implicit midpoint did not converge in {_MIDPOINT_MAX_ITER} "
-                f"iterations at t={state.time!r} (last update {delta:.3e}, "
+                f"iterations (last update {delta:.3e}, "
                 f"contraction estimate {delta / previous:.3g})"
             )
         advanced = current.copy()
 
-    return SimState(state.time + dt, matrix=advanced)
+    return advanced
 
 
 # Highest order of the extrapolated midpoint guess, and its weights for
@@ -502,36 +475,39 @@ def _drift(value: float, initial: float) -> float:
     return abs(value - initial) / max(abs(initial), 1e-300) if initial != 0.0 else abs(value)
 
 
-def _record(state: SimState, h0: float, e0: float) -> DiagnosticsRecord:
+def _record(time: float, field: ModeField, h0: float, e0: float) -> DiagnosticsRecord:
     # integrate() has validated the reality of its input, and lowered
-    # states are exactly real.
-    h, e = _invariants(state.field)
-    return DiagnosticsRecord(state.time, h, e, _drift(h, h0), _drift(e, e0))
+    # fields are exactly real.
+    h, e = _invariants(field)
+    return DiagnosticsRecord(time, h, e, _drift(h, h0), _drift(e, e0))
 
 
 def integrate(
-    state: SimState,
+    field: ModeField,
     config: IntegratorConfig,
     rhs: RhsFunction = rhs_fast,
     counts: RhsCounts | None = None,
-) -> tuple[SimState, list[DiagnosticsRecord]]:
-    """Run ``config.steps`` steps with diagnostics every ``record_every``.
+) -> tuple[ModeField, list[DiagnosticsRecord]]:
+    """Run ``config.steps`` steps from t = 0 with diagnostics every ``record_every``.
 
     The input field's reality condition is validated (relative 1e-10) on
-    entry, and the field is lifted once; the steps advance the Hermitian
-    matrix W, which is lowered to modes only at the records.  Finiteness is
-    checked after every step, where a non-finite state raises
-    :class:`ConsistencyError`.  The final step is always recorded.
-    Implicit midpoint solves start from the extrapolation of up to
+    entry, and the field is lifted once; :func:`step` advances the
+    Hermitian matrix W, which is lowered to modes only at the records and
+    for the returned field.
+    Finiteness is checked after every step, where a non-finite state raises
+    :class:`ConsistencyError`; a :class:`StepConvergenceError` or
+    :class:`ConsistencyError` of a step is raised again with the time the
+    step started from.  The final step is always recorded.  Implicit
+    midpoint solves start from the extrapolation of up to
     ``_GUESS_ORDER + 1`` states of this run.  ``counts``, if given,
-    accumulates the run's steps and rhs calls.  Returns the final state
-    (the input state itself when ``config.steps`` is 0) and the diagnostics
-    series; the input state is left untouched.
+    accumulates the run's steps and rhs calls.  Returns the final field
+    (the input field itself when ``config.steps`` is 0) and the diagnostics
+    series; the input field is left untouched.
     """
-    validate_reality(state.field, tol=1e-10)
-    h0, e0 = _invariants(state.field)
-    records = [_record(state, h0, e0)]
-    current = SimState(state.time, matrix=state.matrix) if config.steps else state
+    validate_reality(field, tol=1e-10)
+    h0, e0 = _invariants(field)
+    records = [_record(0.0, field, h0, e0)]
+    w, t = lift(field), 0.0
     counts = RhsCounts() if counts is None else counts
 
     def counted(grid: TruncationGrid, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -548,7 +524,6 @@ def integrate(
     # later, so the first step keeps the Euler guess.
     kept = 1
     if implicit:
-        w = current.matrix
         history = np.empty((_GUESS_ORDER + 1, w.size), dtype=np.complex128)
         history[0] = w.ravel()
     # Overflow shows up as a non-finite state and is reported as such.
@@ -559,23 +534,27 @@ def integrate(
             if implicit and kept > 1:
                 ages = (s - 1 - np.arange(kept)) % len(history)
                 guess = (_GUESS_WEIGHTS[kept - 1][ages] @ history[:kept]).reshape(w.shape)
-            current = step(current, config, counted, guess)
+            try:
+                w = step(w, config, counted, guess)
+            except (StepConvergenceError, ConsistencyError) as exc:
+                raise type(exc)(f"{exc} at t={t!r}") from exc
+            t += config.dt
             counts.steps += 1
             counts.max_per_step = max(counts.max_per_step, counts.calls - before)
-            w = current.matrix
             if not np.isfinite(w).all():
                 raise ConsistencyError(
-                    f"vorticity matrix has non-finite entries after step {s} (t={current.time!r})"
+                    f"vorticity matrix has non-finite entries after step {s} (t={t!r})"
                 )
             if implicit:
                 history[s % len(history)] = w.ravel()
                 kept = min(kept + 1, len(history))
             if s % config.record_every == 0 or s == config.steps:
-                records.append(_record(current, h0, e0))
+                records.append(_record(t, lower(w), h0, e0))
     # The caller writes the run's outputs next; a workspace still held
-    # would add to the peak memory of that.
+    # would add to the peak memory of that, and so would a lowered field
+    # kept across the steps.
     _workspace.cache_clear()
-    return current, records
+    return (lower(w) if config.steps else field), records
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from sinebracket.algebra import (
 from sinebracket.cli import DEFAULT_CONVERGENCE_PAIRS
 from sinebracket.dynamics import (
     IntegratorConfig,
-    SimState,
     enstrophy_functional,
     hamiltonian_functional,
     integrate,
@@ -145,12 +144,12 @@ def test_criterion_5_conservation_and_order():
     )
     started = time.perf_counter()
     _, coarse = integrate(
-        SimState(0.0, field),
+        field,
         IntegratorConfig(dt=CRIT5["dt"], steps=CRIT5["steps"], record_every=CRIT5["steps"]),
         rhs=rhs_fast,
     )
     _, fine = integrate(
-        SimState(0.0, field),
+        field,
         IntegratorConfig(dt=CRIT5["dt"] / 2, steps=2 * CRIT5["steps"], record_every=2 * CRIT5["steps"]),
         rhs=rhs_fast,
     )
@@ -227,9 +226,7 @@ def test_criterion_9_single_pair_steady_state():
     for n, pair, amp in ((7, (1, 2), 0.8 - 0.3j), (11, (2, -1), 1.0 + 0.5j)):
         grid = build_grid(n)
         field = single_pair_field(grid, pair, amp)
-        final, _ = integrate(
-            SimState(0.0, field), IntegratorConfig(dt=1e-3, steps=1000, record_every=500)
-        )
-        deviation = np.max(np.abs(final.field.coeffs - field.coeffs))
+        final, _ = integrate(field, IntegratorConfig(dt=1e-3, steps=1000, record_every=500))
+        deviation = np.max(np.abs(final.coeffs - field.coeffs))
         ok &= deviation <= 1e-13 * np.max(np.abs(field.coeffs))
     assert _verdict(9, ok, "single-conjugate-pair states preserved to 1e-13 over 1000 steps")

@@ -368,6 +368,26 @@ def test_run_midpoint_blow_up_fails_fast(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_stalled_midpoint_solver_is_runtime_error(tmp_path, capsys):
+    # At dt = 2e-2 the fixed-point map contracts by about 0.7 per sweep and
+    # the first solve stops at its sweep cap; the message names the time
+    # the failed step started from.
+    cfg_path, _ = _write_config(
+        tmp_path,
+        n=21,
+        dt=2e-2,
+        steps=10,
+        seed=6,
+        scheme="implicit_midpoint",
+        initial_condition={"type": "shell", "shell_min": 1.0, "shell_max": 4.0, "amplitude": 6.0},
+    )
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: integration failed: ")
+    assert "did not converge" in err and "contraction estimate" in err and "t=0.0" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("scheme", ["rk4", "implicit_midpoint"])
 def test_run_summary_reports_rhs_calls(tmp_path, scheme):
     cfg_path, _ = _write_config(tmp_path, scheme=scheme)

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from sinebracket import dynamics
+from sinebracket.algebra import quadratic_casimir
 from sinebracket.dynamics import (
     _MIDPOINT_MAX_ITER,
     _MIDPOINT_TOL,
     DiagnosticsRecord,
     IntegratorConfig,
     RhsCounts,
-    SimState,
     enstrophy_functional,
     enstrophy_gradient,
     hamiltonian_functional,
@@ -308,12 +308,11 @@ def test_integrator_config_validation():
 def test_integrate_records_initial_and_final():
     grid = build_grid(7)
     field = _band_field(grid, seed=4, amplitude=1.0)
-    final, records = integrate(SimState(0.0, field), IntegratorConfig(dt=1e-3, steps=25, record_every=10))
+    _, records = integrate(field, IntegratorConfig(dt=1e-3, steps=25, record_every=10))
     assert [r.time for r in records] == pytest.approx([0.0, 0.01, 0.02, 0.025])
     assert records[0].drift_energy == 0.0
     assert records[0].drift_enstrophy == 0.0
-    assert final.time == pytest.approx(0.025)
-    # input state untouched
+    # input field untouched
     assert np.array_equal(field.coeffs, _band_field(grid, seed=4, amplitude=1.0).coeffs)
 
 
@@ -323,7 +322,7 @@ def test_record_invariants_equal_energy_and_enstrophy_bitwise():
         grid = build_grid(n)
         field = random_shell_field(grid, seed=n, shell_max=float(n), amplitude=6.0)
         validate_reality(field)
-        record = dynamics._record(SimState(0.25, field), 2.0, 0.0)
+        record = dynamics._record(0.25, field, 2.0, 0.0)
         h, e = energy(field), enstrophy(field)
         assert (record.energy.hex(), record.enstrophy.hex()) == (h.hex(), e.hex())
         assert record.drift_energy == abs(h - 2.0) / 2.0  # relative to a nonzero start
@@ -333,10 +332,9 @@ def test_record_invariants_equal_energy_and_enstrophy_bitwise():
 def test_integrate_zero_steps_is_identity():
     grid = build_grid(5)
     field = _band_field(grid, seed=6, amplitude=1.0)
-    final, records = integrate(SimState(1.5, field), IntegratorConfig(steps=0))
-    assert final.time == 1.5
-    assert np.array_equal(final.field.coeffs, field.coeffs)
-    assert len(records) == 1
+    final, records = integrate(field, IntegratorConfig(steps=0))
+    assert final is field
+    assert records == [DiagnosticsRecord(0.0, energy(field), enstrophy(field), 0.0, 0.0)]
 
 
 def test_rk4_drift_small_and_fourth_order():
@@ -347,8 +345,8 @@ def test_rk4_drift_small_and_fourth_order():
     field = random_shell_field(grid, seed=4, shell_min=1.0, shell_max=4.0, amplitude=8.0)
     coarse = IntegratorConfig(dt=1e-3, steps=1000, record_every=1000)
     fine = IntegratorConfig(dt=5e-4, steps=2000, record_every=2000)
-    _, rc = integrate(SimState(0.0, field), coarse)
-    _, rf = integrate(SimState(0.0, field), fine)
+    _, rc = integrate(field, coarse)
+    _, rf = integrate(field, fine)
     assert rc[-1].drift_energy <= 1e-8
     assert rc[-1].drift_enstrophy <= 1e-8
     assert rf[-1].drift_energy > 0.0
@@ -359,10 +357,10 @@ def test_rk4_drift_small_and_fourth_order():
 def test_rk4_run_is_time_reversible():
     grid = build_grid(9)
     field = random_shell_field(grid, seed=4, shell_min=1.0, shell_max=4.0, amplitude=8.0)
-    mid, _ = integrate(SimState(0.0, field), IntegratorConfig(dt=1e-3, steps=100, record_every=100))
-    back, _ = integrate(mid, IntegratorConfig(dt=-1e-3, steps=100, record_every=100))
-    assert abs(back.time) <= 1e-12
-    deviation = np.max(np.abs(back.field.coeffs - field.coeffs))
+    mid, forward = integrate(field, IntegratorConfig(dt=1e-3, steps=100, record_every=100))
+    back, backward = integrate(mid, IntegratorConfig(dt=-1e-3, steps=100, record_every=100))
+    assert abs(forward[-1].time + backward[-1].time) <= 1e-12
+    deviation = np.max(np.abs(back.coeffs - field.coeffs))
     assert deviation <= 1e-9 * np.max(np.abs(field.coeffs))
 
 
@@ -370,7 +368,7 @@ def test_implicit_midpoint_conserves_quadratic_invariants():
     grid = build_grid(7)
     field = random_shell_field(grid, seed=2, shell_max=8.0, amplitude=2.0)
     cfg = IntegratorConfig(scheme="implicit_midpoint", dt=1e-3, steps=200, record_every=50)
-    _, records = integrate(SimState(0.0, field), cfg)
+    _, records = integrate(field, cfg)
     assert records[-1].drift_energy <= 1e-12
     assert records[-1].drift_enstrophy <= 1e-12
 
@@ -380,9 +378,9 @@ def test_implicit_midpoint_is_time_symmetric():
     field = random_shell_field(grid, seed=4, shell_min=1.0, shell_max=4.0, amplitude=8.0)
     fwd = IntegratorConfig(scheme="implicit_midpoint", dt=1e-3, steps=100, record_every=100)
     bwd = IntegratorConfig(scheme="implicit_midpoint", dt=-1e-3, steps=100, record_every=100)
-    mid, _ = integrate(SimState(0.0, field), fwd)
+    mid, _ = integrate(field, fwd)
     back, _ = integrate(mid, bwd)
-    deviation = np.max(np.abs(back.field.coeffs - field.coeffs))
+    deviation = np.max(np.abs(back.coeffs - field.coeffs))
     assert deviation <= 1e-12 * np.max(np.abs(field.coeffs))
 
 
@@ -397,9 +395,8 @@ class _CountingRhs:
         return rhs_fast(grid, w, out=out)
 
 
-def _oracle_midpoint_step(state, config, rhs):
+def _oracle_midpoint_step(w, config, rhs):
     """Reference midpoint step on W: the fixed-point loop from the explicit-Euler guess."""
-    w = state.matrix
     grid = build_grid(len(w))
     dt = config.dt
 
@@ -416,7 +413,7 @@ def _oracle_midpoint_step(state, config, rhs):
             break
     else:
         raise StepConvergenceError(f"oracle did not converge (last update {delta:.3e})")
-    return SimState(state.time + dt, matrix=guess)
+    return guess
 
 
 def _midpoint_case(seed, dt, steps, n=21):
@@ -424,53 +421,54 @@ def _midpoint_case(seed, dt, steps, n=21):
     grid = build_grid(n)
     field = random_shell_field(grid, seed=seed, shell_min=1.0, shell_max=4.0, amplitude=6.0)
     config = IntegratorConfig(scheme="implicit_midpoint", dt=dt, steps=steps, record_every=steps)
-    return SimState(0.0, field), config
+    return field, config
 
 
 @pytest.mark.parametrize("dt", [1e-3, 1e-2, -1e-3])
 def test_step_without_guess_matches_euler_start_oracle(dt):
-    state, config = _midpoint_case(seed=12, dt=dt, steps=5)
+    field, config = _midpoint_case(seed=12, dt=dt, steps=5)
+    w = lift(field)
     for _ in range(config.steps):
-        expected = _oracle_midpoint_step(state, config, rhs_fast)
-        state = step(state, config)
-        assert state.time == expected.time
-        assert np.array_equal(state.matrix, expected.matrix)
-        assert np.array_equal(state.field.coeffs, expected.field.coeffs)
+        expected = _oracle_midpoint_step(w, config, rhs_fast)
+        w = step(w, config)
+        assert np.array_equal(w, expected)
 
 
 def test_midpoint_extrapolated_guess_needs_few_rhs_calls():
     # From the Euler guess this run makes about 7 rhs calls per step.
-    state, config = _midpoint_case(seed=12, dt=1e-3, steps=300)
+    field, config = _midpoint_case(seed=12, dt=1e-3, steps=300)
     counting = _CountingRhs()
     counts = RhsCounts()
-    integrate(state, config, counting, counts=counts)
+    integrate(field, config, counting, counts=counts)
     assert counts.steps == 300 and counts.calls == counting.calls
     assert counting.calls / config.steps <= 3.0
 
 
 @pytest.mark.parametrize("seed", [3, 6])
 def test_midpoint_large_step_makes_no_more_rhs_calls_than_oracle(seed):
-    state, config = _midpoint_case(seed=seed, dt=1e-2, steps=200)
+    field, config = _midpoint_case(seed=seed, dt=1e-2, steps=200)
     counting = _CountingRhs()
-    final, _ = integrate(state, config, counting)
+    final, _ = integrate(field, config, counting)
     oracle = _CountingRhs()
+    w = lift(field)
     for _ in range(config.steps):
-        state = _oracle_midpoint_step(state, config, oracle)
+        w = _oracle_midpoint_step(w, config, oracle)
     assert counting.calls <= oracle.calls
     # both solve the same implicit equations to the solver tolerance
-    scale = np.max(np.abs(state.field.coeffs))
-    assert np.max(np.abs(final.field.coeffs - state.field.coeffs)) <= 1e-9 * scale
+    expected = lower(w).coeffs
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(final.coeffs - expected)) <= 1e-9 * scale
 
 
 def test_integrate_starts_each_run_from_the_euler_guess():
     # the guess history is local to one integrate() call, so a run of one
     # step, forward or reversed, is exactly one plain step
-    state, config = _midpoint_case(seed=3, dt=1e-3, steps=20)
-    mid, _ = integrate(state, config)
-    for start, dt in ((state, 1e-3), (mid, -1e-3)):
+    field, config = _midpoint_case(seed=3, dt=1e-3, steps=20)
+    mid, _ = integrate(field, config)
+    for start, dt in ((field, 1e-3), (mid, -1e-3)):
         cfg = IntegratorConfig(scheme="implicit_midpoint", dt=dt, steps=1)
         one, _ = integrate(start, cfg)
-        assert np.array_equal(one.field.coeffs, step(start, cfg).field.coeffs)
+        assert np.array_equal(one.coeffs, lower(step(lift(start), cfg)).coeffs)
 
 
 def test_integrate_guess_extrapolates_the_newest_states(monkeypatch):
@@ -478,17 +476,16 @@ def test_integrate_guess_extrapolates_the_newest_states(monkeypatch):
     # accepted states newest first, z* = sum_j (-1)^j C(q+1, j+1) z_{n-j}.
     # The weights reach 2^9 - 1 in absolute sum, so the summation order
     # shows at 1e-14; a state in the wrong slot would show at about dt.
-    state, config = _midpoint_case(seed=5, dt=1e-3, steps=15, n=7)
-    accepted, guesses = [state.matrix], []
+    field, config = _midpoint_case(seed=5, dt=1e-3, steps=15, n=7)
+    accepted, guesses = [lift(field)], []
 
-    def spy(current, cfg, rhs, guess=None):
+    def spy(w, cfg, rhs, guess=None):
         guesses.append(guess)
-        advanced = step(current, cfg, rhs, guess)
-        accepted.append(advanced.matrix)
-        return advanced
+        accepted.append(step(w, cfg, rhs, guess))
+        return accepted[-1]
 
     monkeypatch.setattr(dynamics, "step", spy)
-    integrate(state, config)
+    integrate(field, config)
     assert guesses[0] is None
     for s, guess in enumerate(guesses[1:], start=1):
         q = min(s, 8)
@@ -500,13 +497,13 @@ def test_integrate_counts_rhs_calls_per_step():
     grid = build_grid(7)
     field = _band_field(grid, seed=4, amplitude=1.0)
     counts = RhsCounts()
-    integrate(SimState(0.0, field), IntegratorConfig(dt=1e-3, steps=25), counts=counts)
+    integrate(field, IntegratorConfig(dt=1e-3, steps=25), counts=counts)
     assert (counts.steps, counts.calls, counts.max_per_step) == (25, 100, 4)
     assert counts.per_step == 4.0
-    state, config = _midpoint_case(seed=12, dt=1e-3, steps=30, n=9)
+    field, config = _midpoint_case(seed=12, dt=1e-3, steps=30, n=9)
     counting = _CountingRhs()
     counts = RhsCounts()
-    integrate(state, config, counting, counts=counts)
+    integrate(field, config, counting, counts=counts)
     assert (counts.steps, counts.calls) == (30, counting.calls)
     assert counts.per_step <= counts.max_per_step <= _MIDPOINT_MAX_ITER + 1
     assert RhsCounts().per_step == 0.0
@@ -521,7 +518,7 @@ def test_midpoint_nonfinite_update_raises_at_once():
     counting = _CountingRhs()
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ConsistencyError, match="non-finite"):
-            step(SimState(0.0, field), config, counting)
+            step(lift(field), config, counting)
     assert counting.calls < 10
 
 
@@ -531,16 +528,16 @@ def test_integrate_checks_finiteness_every_step():
     grid = build_grid(11)
     field = random_shell_field(grid, seed=0, shell_min=1.0, shell_max=4.0, amplitude=50.0)
     config = IntegratorConfig(dt=5.0, steps=50, record_every=50)
-    state, first_bad = SimState(0.0, field), 0
+    w, first_bad = lift(field), 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while np.all(np.isfinite(state.field.coeffs)):
-            state, first_bad = step(state, config), first_bad + 1
+        while np.all(np.isfinite(lower(w).coeffs)):
+            w, first_bad = step(w, config), first_bad + 1
     assert first_bad < config.steps
     counting = _CountingRhs()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ConsistencyError, match="non-finite"):
-            integrate(SimState(0.0, field), config, counting)
+            integrate(field, config, counting)
     assert counting.calls == 4 * first_bad
     assert not caught  # numpy's overflow warnings stay inside integrate
 
@@ -548,9 +545,9 @@ def test_integrate_checks_finiteness_every_step():
 def test_step_convergence_error_names_the_contraction_estimate():
     # At dt = 2e-2 the fixed-point map contracts by about 0.6 per sweep and
     # the Euler start does not reach the tolerance in 50 sweeps.
-    state, config = _midpoint_case(seed=6, dt=2e-2, steps=1)
+    field, config = _midpoint_case(seed=6, dt=2e-2, steps=1)
     with pytest.raises(StepConvergenceError) as excinfo:
-        step(state, config)
+        step(lift(field), config)
     found = re.search(r"contraction estimate ([0-9.e+-]+)", str(excinfo.value))
     assert found is not None, str(excinfo.value)
     assert 0.3 < float(found.group(1)) < 1.0
@@ -561,7 +558,7 @@ def test_integrate_rejects_nonreal_spectrum():
     coeffs = np.zeros(grid.size, dtype=np.complex128)
     coeffs[grid.index_of((1, 0))] = 1.0  # no conjugate partner
     with pytest.raises(ValidationError):
-        integrate(SimState(0.0, ModeField(grid, coeffs)), IntegratorConfig(steps=1))
+        integrate(ModeField(grid, coeffs), IntegratorConfig(steps=1))
 
 
 def test_integrate_accepts_its_entry_tolerance_at_every_record():
@@ -572,7 +569,29 @@ def test_integrate_accepts_its_entry_tolerance_at_every_record():
     top = int(np.argmax(np.abs(field.coeffs)))
     field.coeffs[grid.neg_index[top]] *= 1.0 + 5e-11
     assert 1e-12 < field.reality_residual() <= 1e-10
-    _, records = integrate(SimState(0.0, field), IntegratorConfig(steps=3, record_every=1))
+    _, records = integrate(field, IntegratorConfig(steps=3, record_every=1))
+    assert len(records) == 4
+    assert records[-1].drift_enstrophy <= 1e-12
+
+
+def test_invariants_drop_the_imaginary_residue_of_a_field_within_tolerance():
+    # A complex factor on a mirror coefficient gives the pair sums of H and
+    # E an imaginary part; the reality tolerance that passed the field must
+    # be the only rule, so energy, enstrophy, the Casimir and a run take the
+    # real part instead of raising.
+    grid = build_grid(9)
+    field = _band_field(grid, seed=7, amplitude=1.0)
+    mirror = grid.neg_index[int(np.argmax(np.abs(field.coeffs)))]
+    below = field.copy()
+    below.coeffs[mirror] *= 1.0 + 5e-13j
+    assert 0.0 < below.reality_residual() <= 1e-12
+    assert energy(below) == pytest.approx(energy(field), rel=1e-13)
+    assert enstrophy(below) == pytest.approx(enstrophy(field), rel=1e-13)
+    assert quadratic_casimir(grid, below) == pytest.approx(enstrophy(field), rel=1e-13)
+    entry = field.copy()
+    entry.coeffs[mirror] *= 1.0 + 5e-11j
+    assert 1e-12 < entry.reality_residual() <= 1e-10
+    _, records = integrate(entry, IntegratorConfig(steps=3, record_every=1))
     assert len(records) == 4
     assert records[-1].drift_enstrophy <= 1e-12
 
@@ -583,53 +602,44 @@ def test_rk4_large_step_stays_exactly_real():
     grid = build_grid(21)
     field = random_shell_field(grid, seed=6, shell_min=1.0, shell_max=4.0, amplitude=6.0)
     config = IntegratorConfig(dt=2e-2, steps=500, record_every=500)
-    state = SimState(0.0, field)
+    w = lift(field)
     for _ in range(6):
         for _ in range(config.steps):
-            state = step(state, config)
-        z = state.field.coeffs
+            w = step(w, config)
+        z = lower(w).coeffs
         assert np.all(np.isfinite(z))
         assert np.max(np.abs(z)) <= 10.0
-        assert state.field.reality_residual() == 0.0
-        assert np.array_equal(state.matrix, state.matrix.conj().T)
+        assert lower(w).reality_residual() == 0.0
+        assert np.array_equal(w, w.conj().T)
 
 
 @pytest.mark.parametrize("scheme", ["rk4", "implicit_midpoint"])
-def test_stepped_matrix_stays_exactly_hermitian(scheme):
+def test_stepped_matrix_stays_exactly_hermitian(scheme, monkeypatch):
     start, _ = _midpoint_case(seed=6, dt=1e-2, steps=1)
     config = IntegratorConfig(scheme=scheme, dt=1e-2, steps=40, record_every=40)
-    state = start
+    w = lift(start)
     for _ in range(config.steps):
-        state = step(state, config)
-        assert np.array_equal(state.matrix, state.matrix.conj().T)
+        w = step(w, config)
+        assert np.array_equal(w, w.conj().T)
     # integrate's extrapolated midpoint guess included
+    stepped = []
+
+    def spy(*args):
+        stepped.append(step(*args))
+        return stepped[-1]
+
+    monkeypatch.setattr(dynamics, "step", spy)
     final, _ = integrate(start, config)
-    assert np.array_equal(final.matrix, final.matrix.conj().T)
-    assert final.field.reality_residual() == 0.0
-
-
-def test_sim_state_holds_a_field_or_a_matrix():
-    grid = build_grid(7)
-    field = _band_field(grid, seed=4, amplitude=1.0)
-    held = SimState(0.5, field)
-    assert held.field is field
-    assert np.array_equal(held.matrix, lift(field))
-    field.coeffs *= 2.0  # nothing is cached, so the lift follows the field
-    assert np.array_equal(held.matrix, lift(field))
-    w = lift(field)
-    stepped = SimState(0.5, matrix=w)
-    assert stepped.matrix is w
-    assert stepped.field.grid == grid
-    assert np.array_equal(stepped.field.coeffs, lower(w).coeffs)
-    for bad in ({}, {"field": field, "matrix": w}):
-        with pytest.raises(ValueError):
-            SimState(0.0, **bad)
+    assert len(stepped) == config.steps
+    assert all(np.array_equal(w, w.conj().T) for w in stepped)
+    assert final.reality_residual() == 0.0
 
 
 @pytest.mark.parametrize("shape", [(5, 7), (4, 4), (1, 1), (9,), (3, 3, 3)])
 def test_sim_state_refuses_a_matrix_that_is_not_square_with_odd_n(shape):
+    # the simulation state that step() advances is the matrix W
     with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
-        SimState(0.0, matrix=np.zeros(shape, dtype=np.complex128))
+        step(np.zeros(shape, dtype=np.complex128), IntegratorConfig())
 
 
 def test_rk4_step_allocates_little_beyond_the_new_state():
@@ -639,25 +649,23 @@ def test_rk4_step_allocates_little_beyond_the_new_state():
     grid = build_grid(n)
     field = random_shell_field(grid, seed=1, shell_min=1.0, shell_max=16.0, amplitude=6.0)
     config = IntegratorConfig(dt=2e-3, steps=2)
-    state = step(SimState(0.0, field), config)
+    w = step(lift(field), config)
     tracemalloc.start()
     try:
-        advanced = step(state, config)
+        advanced = step(w, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert advanced.time == 2 * config.dt
+    assert advanced.shape == (n, n)
     assert peak <= 2 * n * n * 16
 
 
 def test_reality_preserved_over_long_run():
     grid = build_grid(7)
     field = _band_field(grid, seed=7, amplitude=1.0)
-    final, records = integrate(
-        SimState(0.0, field), IntegratorConfig(dt=1e-3, steps=1000, record_every=100)
-    )
+    final, records = integrate(field, IntegratorConfig(dt=1e-3, steps=1000, record_every=100))
     assert len(records) == 11
-    assert final.field.reality_residual() <= 1e-10
+    assert final.reality_residual() <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -705,13 +713,11 @@ def test_single_pair_field_is_a_steady_state():
 def test_single_pair_field_survives_integration():
     grid = build_grid(7)
     field = single_pair_field(grid, (1, 2), 0.8 - 0.3j)
-    final, records = integrate(
-        SimState(0.0, field), IntegratorConfig(dt=1e-3, steps=1000, record_every=250)
-    )
-    deviation = np.max(np.abs(final.field.coeffs - field.coeffs))
+    final, records = integrate(field, IntegratorConfig(dt=1e-3, steps=1000, record_every=250))
+    deviation = np.max(np.abs(final.coeffs - field.coeffs))
     assert deviation <= 1e-13 * np.max(np.abs(field.coeffs))
     assert records[-1].drift_enstrophy <= 1e-13
-    assert enstrophy(final.field) == pytest.approx(enstrophy(field), rel=1e-13)
+    assert enstrophy(final) == pytest.approx(enstrophy(field), rel=1e-13)
 
 
 def test_diagnostics_record_fields():

@@ -144,17 +144,21 @@ def rhs_from_lie_poisson(grid: TruncationGrid, field: ModeField) -> ModeField:
     """Tendency assembled mode by mode as {zeta_i, H}; verification route.
 
     Deliberately goes through the functional machinery (coordinate
-    observables against the energy) rather than any shared assembly;
-    O(n^4) per call, intended for cross checks at small n.
+    observables against the energy) rather than any shared assembly.
+    The Lie-Poisson matrix M of the field and the vector M.grad(H) are
+    built once per call; entry i is the gradient of the coordinate
+    functional zeta_i contracted with that vector, the same products as
+    :func:`lie_poisson_bracket_complex` forms for each mode.  O(n^4) per
+    call for the one N x N matrix, intended for cross checks at small n.
     """
-    from .algebra import lie_poisson_bracket_complex
+    from .algebra import _lie_poisson_matrix
     from .functionals import coordinate_functional
 
-    ham = hamiltonian_functional(grid)
+    flow = _lie_poisson_matrix(grid, field) @ hamiltonian_functional(grid).gradient(field)
     out = np.empty(grid.size, dtype=np.complex128)
     for a in range(grid.size):
         coord = coordinate_functional(grid, grid.vector_at(a))
-        out[a] = lie_poisson_bracket_complex(grid, field, coord, ham)
+        out[a] = coord.gradient(field) @ flow
     return ModeField(grid, out)
 
 

@@ -462,6 +462,38 @@ def test_verify_unknown_check_is_usage_error(tmp_path, capsys):
     assert "unknown check" in capsys.readouterr().err
 
 
+def test_verify_unknown_check_is_refused_before_any_check_runs(tmp_path, capsys, monkeypatch):
+    from sinebracket import verify
+
+    ran = []
+
+    def refuse(name):
+        def helper(*args):
+            ran.append(name)
+            raise AssertionError(f"{name} ran")
+
+        return helper
+
+    helpers = [
+        "_table_antisymmetry_residual",
+        "_table_jacobi_residual",
+        "_killing_residual",
+        "_orthogonality_residual",
+        "_casimir_residual",
+        "_reduction_residual",
+        "_nambu_antisymmetry_residual",
+        "_rhs_equivalence_residual",
+    ]
+    for name in helpers:
+        monkeypatch.setattr(verify, name, refuse(name))
+    code = main(["verify", "--n", "15", "--suite", "bogus", "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_USAGE
+    assert ran == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown check 'bogus'; one of: alpha-antisymmetry, ")
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_verify_even_n_is_usage_error(tmp_path, capsys):
     code = main(["verify", "--n", "4", "--out", str(tmp_path / "r.json")])
     assert code == EXIT_USAGE

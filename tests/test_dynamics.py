@@ -8,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from sinebracket import dynamics
-from sinebracket.algebra import quadratic_casimir
+from sinebracket import algebra, dynamics
+from sinebracket.algebra import lie_poisson_bracket_complex, quadratic_casimir
 from sinebracket.dynamics import (
     _MIDPOINT_MAX_ITER,
     _MIDPOINT_TOL,
@@ -33,6 +33,7 @@ from sinebracket.dynamics import (
     step,
 )
 from sinebracket.errors import ConsistencyError, StepConvergenceError, ValidationError
+from sinebracket.functionals import coordinate_functional
 from sinebracket.grid import ModeField, _wrapped, build_grid, energy, enstrophy, validate_reality
 
 TWO_PI = 2.0 * math.pi
@@ -109,6 +110,34 @@ def test_rhs_routes_agree(n):
         for a in range(len(outs)):
             for b in range(a + 1, len(outs)):
                 assert np.max(np.abs(outs[a] - outs[b])) <= 1e-10 * scale
+
+
+def _rhs_from_lie_poisson_per_mode(grid, field):
+    # Reference: one Lie-Poisson bracket {zeta_a, H}, and so one matrix, per mode.
+    ham = hamiltonian_functional(grid)
+    out = np.empty(grid.size, dtype=np.complex128)
+    for a in range(grid.size):
+        coord = coordinate_functional(grid, grid.vector_at(a))
+        out[a] = lie_poisson_bracket_complex(grid, field, coord, ham)
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 5, 9])
+def test_rhs_from_lie_poisson_builds_one_matrix_and_matches_per_mode_brackets(n, monkeypatch):
+    grid = build_grid(n)
+    field = _band_field(grid, seed=n)
+    reference = _rhs_from_lie_poisson_per_mode(grid, field)
+    built = []
+    matrix = algebra._lie_poisson_matrix
+
+    def counted(grid, field):
+        built.append(1)
+        return matrix(grid, field)
+
+    monkeypatch.setattr(algebra, "_lie_poisson_matrix", counted)
+    out = rhs_from_lie_poisson(grid, field).coeffs
+    assert len(built) == 1
+    assert np.array_equal(out, reference)
 
 
 def test_rhs_fast_matches_naive_large_truncation():

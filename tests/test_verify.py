@@ -57,8 +57,9 @@ def test_identity_suite_other_seed_passes():
 
 
 def _table_jacobi_residual_per_row(grid):
-    # Reference: one row of the wrap table clipped per iteration.
-    t = _pair_tables(grid.n)
+    # Reference: one row of the wrap table clipped per iteration, on the
+    # tables the suite reads.
+    t = verify._pair_tables(grid.n)
     s, w = t.sin_cross, t.wrap_index
     worst = 0.0
     term_scale = 0.0
@@ -75,10 +76,30 @@ def _table_jacobi_residual_per_row(grid):
     return worst / term_scale if term_scale else 0.0
 
 
-@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize("n", [3, 5, 7, 15])
 def test_table_jacobi_residual_matches_per_row_reference(n):
     grid = build_grid(n)
     assert _table_jacobi_residual(grid) == _table_jacobi_residual_per_row(grid)
+
+
+def _sign_flipped_tables(n):
+    # One sine entry with its sign flipped: the table is no longer antisymmetric.
+    tables = _pair_tables(n)
+    a, b = np.argwhere(tables.sin_cross != 0.0)[7]
+    flipped = tables.sin_cross.copy()
+    flipped[a, b] *= -1.0
+    return tables._replace(sin_cross=flipped)
+
+
+@pytest.mark.parametrize(
+    "n, expected", [(3, 2.0), (5, 2.0000000000000004), (9, 0.6945927106677219)]
+)
+def test_table_jacobi_residual_matches_reference_on_a_corrupted_table(n, expected, monkeypatch):
+    corrupted = _sign_flipped_tables(n)
+    monkeypatch.setattr(verify, "_pair_tables", lambda n: corrupted)
+    grid = build_grid(n)
+    residual = _table_jacobi_residual(grid)
+    assert residual == _table_jacobi_residual_per_row(grid) == expected
 
 
 def test_identity_suite_rejects_bad_n():
@@ -90,11 +111,7 @@ def test_identity_suite_rejects_bad_n():
 def test_fault_injection_is_caught(monkeypatch):
     # One sine entry with its sign flipped, seen by every check that reads
     # the pair tables of the algebra or of the suite itself.
-    tables = _pair_tables(5)
-    a, b = np.argwhere(tables.sin_cross != 0.0)[7]
-    flipped = tables.sin_cross.copy()
-    flipped[a, b] *= -1.0
-    corrupted = tables._replace(sin_cross=flipped)
+    corrupted = _sign_flipped_tables(5)
     for module in (algebra, verify):
         monkeypatch.setattr(module, "_pair_tables", lambda n: corrupted)
     reports = {r.name: r for r in run_identity_suite(5)}

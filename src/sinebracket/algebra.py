@@ -260,22 +260,22 @@ def dense_jacobi_residual(alpha: np.ndarray) -> float:
 def killing_bruteforce(grid: TruncationGrid) -> np.ndarray:
     """K_ab = sum_{k,l} alpha_ak^l alpha_bl^k of the truncation, by double contraction.
 
-    Returns the full (N, N) matrix.  The sum runs over the full retained
-    set, one row a at a time; terms are dropped only where a wrap delta
-    makes them exactly zero, and the closed form is never consulted.
+    Returns the full (N, N) matrix.  Each closing term is visited once, in
+    O(N^2): for (a, k) with l = (a+k)|n retained, only b = (k-l)|n, read from
+    the wrap table, can close (b+l)|n = k.  The term is kept where the
+    table's own delta holds and is scatter-added into (a, b); the closed
+    form is never consulted.
     """
-    n, size = grid.n, grid.size
-    t = _pair_tables(n)
-    pref = lie_poisson_prefactor(n)
-    ks = np.arange(size)
-    out = np.empty((size, size))
-    for a in range(size):
-        l_idx = t.wrap_index[a]  # upper index closing alpha_{a,k}
-        k, l = ks[l_idx >= 0], l_idx[l_idx >= 0]
-        # alpha_{b,l}^k survives only where (b+l)|n lands back on k
-        second = np.where(t.wrap_index[:, l] == k, t.sin_cross[:, l], 0.0)
-        out[a] = (pref * second) @ (pref * t.sin_cross[a, k])
-    return out
+    t = _pair_tables(grid.n)
+    pref = lie_poisson_prefactor(grid.n)
+    w = t.wrap_index
+    a, k = np.nonzero(w >= 0)
+    l = w[a, k]  # upper index closing alpha_{a,k}
+    b = w[k, grid.neg_index[l]]  # the one b with (b+l)|n = k, -1 if none
+    keep = (b >= 0) & (w[b, l] == k)  # the delta of alpha_{b,l}^k; b = -1 fails first
+    a, k, l, b = a[keep], k[keep], l[keep], b[keep]
+    terms = (pref * t.sin_cross[a, k]) * (pref * t.sin_cross[b, l])
+    return np.bincount(a * grid.size + b, weights=terms, minlength=w.size).reshape(w.shape)
 
 
 def dense_killing_matrix(alpha: np.ndarray) -> np.ndarray:

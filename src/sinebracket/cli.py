@@ -46,7 +46,6 @@ from .serialization import (
     write_metadata,
 )
 from .verify import (
-    IDENTITY_CHECKS,
     format_reports,
     run_convergence_study,
     run_counterexample,
@@ -276,16 +275,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.counterexample:
             reports.append(run_counterexample(args.n))
         elif args.suite:
-            names = [name for name, _, _ in IDENTITY_CHECKS]
-            if args.suite not in names:
-                print(
-                    f"error: unknown check {args.suite!r}; one of: {', '.join(names)}",
-                    file=sys.stderr,
-                )
-                return EXIT_USAGE
-            # every check runs, so the named one sees the same rng draws as in --all
-            all_reports = run_identity_suite(args.n, seed=args.seed)
-            reports.extend(r for r in all_reports if r.name == args.suite)
+            reports.extend(run_identity_suite(args.n, seed=args.seed, only=args.suite))
         else:  # --all and the default
             reports.extend(run_identity_suite(args.n, seed=args.seed))
             if args.n >= 5:

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from sinebracket import algebra as sine_algebra
 from sinebracket.algebra import (
     KNOWN_JACOBI_VIOLATION,
     ContinuumNambuTensor,
@@ -33,6 +34,7 @@ from sinebracket.algebra import (
     gen_jacobi_terms,
     killing_bruteforce,
     killing_closed,
+    killing_diagonal,
     lie_poisson_bracket,
     lie_poisson_bracket_complex,
     lie_poisson_prefactor,
@@ -211,6 +213,58 @@ def test_killing_brute_equals_closed():
             a, b = grid.index_of(i), grid.index_of(j)
             assert brute[a, b] == pytest.approx(closed[a, b], abs=1e-12 * abs(kappa))
         assert np.max(np.abs(brute - closed)) <= 1e-12 * abs(kappa)
+
+
+def _killing_contraction_per_row(grid):
+    # Reference: the O(N^3) double contraction, one row a at a time over
+    # every b, on the tables the kernel reads.
+    t = sine_algebra._pair_tables(grid.n)
+    pref = lie_poisson_prefactor(grid.n)
+    ks = np.arange(grid.size)
+    out = np.empty((grid.size, grid.size))
+    for a in range(grid.size):
+        l_idx = t.wrap_index[a]
+        k, l = ks[l_idx >= 0], l_idx[l_idx >= 0]
+        second = np.where(t.wrap_index[:, l] == k, t.sin_cross[:, l], 0.0)
+        out[a] = (pref * second) @ (pref * t.sin_cross[a, k])
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_killing_matches_the_per_row_contraction(n):
+    grid = build_grid(n)
+    reference = _killing_contraction_per_row(grid)
+    assert np.max(np.abs(killing_bruteforce(grid) - reference)) <= 1e-14 * abs(killing_diagonal(n))
+
+
+def _killing_flags(grid, kernel):
+    defect = np.max(np.abs(kernel(grid) - killing_closed(grid)))
+    return bool(defect > 1e-12 * abs(killing_diagonal(grid.n)))
+
+
+def test_killing_and_the_per_row_contraction_flag_the_same_corruptions(monkeypatch):
+    # Each corruption rewrites one entry of the wrap table (to another index
+    # or -1) or of the sine table (to another sine value).
+    n = 5
+    grid = build_grid(n)
+    clean = sine_algebra._pair_tables(n)
+    rng = np.random.default_rng(17)
+    flags = []
+    for trial in range(40):
+        i, j = rng.integers(grid.size, size=2)
+        if trial % 2:
+            w = clean.wrap_index.copy()
+            w[i, j] = rng.choice([v for v in range(-1, grid.size) if v != w[i, j]])
+            tables = clean._replace(wrap_index=w)
+        else:
+            s = clean.sin_cross.copy()
+            s[i, j] = rng.choice([v for v in sine_table(n) if v != s[i, j]])
+            tables = clean._replace(sin_cross=s)
+        monkeypatch.setattr(sine_algebra, "_pair_tables", lambda n, t=tables: t)
+        new = _killing_flags(grid, killing_bruteforce)
+        flags.append((new, _killing_flags(grid, _killing_contraction_per_row)))
+    assert all(new == old for new, old in flags)
+    assert {new for new, _ in flags} == {True, False}  # the sample holds both outcomes
 
 
 def test_orthogonality_relation():

@@ -462,6 +462,61 @@ def test_verify_unknown_check_is_usage_error(tmp_path, capsys):
     assert "unknown check" in capsys.readouterr().err
 
 
+# the residual helper of each identity check, in suite order
+CHECK_HELPERS = {
+    "alpha-antisymmetry": "_table_antisymmetry_residual",
+    "jacobi-identity": "_table_jacobi_residual",
+    "killing-form": "_killing_residual",
+    "orthogonality": "_orthogonality_residual",
+    "casimir-commutes": "_casimir_residual",
+    "nambu-reduction": "_reduction_residual",
+    "nambu-antisymmetry": "_nambu_antisymmetry_residual",
+    "rhs-equivalence": "_rhs_equivalence_residual",
+}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_verify_suite_residual_is_bitwise_its_all_value(tmp_path, seed):
+    common = ["verify", "--n", "5", "--seed", str(seed), "--out"]
+    assert main([*common, str(tmp_path / "all.json"), "--all"]) == EXIT_OK
+    full = json.loads((tmp_path / "all.json").read_text())["reports"]
+    for check in full[:-1]:  # the last report is the counterexample
+        out = tmp_path / f"{check['name']}.json"
+        assert main([*common, str(out), "--suite", check["name"]]) == EXIT_OK
+        [report] = json.loads(out.read_text())["reports"]
+        assert report["name"] == check["name"]
+        assert report["max_residual"] == check["max_residual"], check["name"]
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("killing-form", ["killing-form"]),
+        ("nambu-reduction", ["casimir-commutes", "nambu-reduction"]),
+        ("rhs-equivalence", ["casimir-commutes", "nambu-reduction", "rhs-equivalence"]),
+    ],
+)
+def test_verify_suite_runs_only_the_drawing_checks_before_it(
+    tmp_path, monkeypatch, name, expected
+):
+    from sinebracket import verify
+
+    ran = []
+
+    def recorded(check, helper):
+        def wrapper(*args):
+            ran.append(check)
+            return helper(*args)
+
+        return wrapper
+
+    for check, helper in CHECK_HELPERS.items():
+        monkeypatch.setattr(verify, helper, recorded(check, getattr(verify, helper)))
+    code = main(["verify", "--n", "5", "--suite", name, "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_OK
+    assert ran == expected
+
+
 def test_verify_unknown_check_is_refused_before_any_check_runs(tmp_path, capsys, monkeypatch):
     from sinebracket import verify
 
@@ -474,17 +529,7 @@ def test_verify_unknown_check_is_refused_before_any_check_runs(tmp_path, capsys,
 
         return helper
 
-    helpers = [
-        "_table_antisymmetry_residual",
-        "_table_jacobi_residual",
-        "_killing_residual",
-        "_orthogonality_residual",
-        "_casimir_residual",
-        "_reduction_residual",
-        "_nambu_antisymmetry_residual",
-        "_rhs_equivalence_residual",
-    ]
-    for name in helpers:
+    for name in CHECK_HELPERS.values():
         monkeypatch.setattr(verify, name, refuse(name))
     code = main(["verify", "--n", "15", "--suite", "bogus", "--out", str(tmp_path / "r.json")])
     assert code == EXIT_USAGE

@@ -121,6 +121,32 @@ def test_fault_injection_is_caught(monkeypatch):
     assert reports["orthogonality"].passed
 
 
+def test_fault_injection_on_the_wrap_table_is_caught(monkeypatch):
+    # The Killing kernel closes alpha_{a,k}^l with b = (k-l)|n and keeps the
+    # term only where the table's (b+l)|n reads back k; rewriting that one
+    # entry drops that nonzero term from K_ab, and the check must see it.
+    grid = build_grid(5)
+    tables = _pair_tables(5)
+    a, k = grid.index_of((1, 0)), grid.index_of((0, 1))
+    l = tables.wrap_index[a, k]
+    b = tables.wrap_index[k, grid.neg_index[l]]
+    assert tables.wrap_index[b, l] == k
+    term = algebra.lie_poisson_prefactor(5) ** 2 * tables.sin_cross[a, k] * tables.sin_cross[b, l]
+    clean = verify.killing_bruteforce(grid)[a, b]
+    wrap = tables.wrap_index.copy()
+    wrap[b, l] = -1
+    corrupted = tables._replace(wrap_index=wrap)
+    for module in (algebra, verify):
+        monkeypatch.setattr(module, "_pair_tables", lambda n: corrupted)
+    kappa = abs(algebra.killing_diagonal(5))
+    assert abs(term) > 0.05 * kappa
+    assert verify.killing_bruteforce(grid)[a, b] == pytest.approx(clean - term, abs=1e-14 * kappa)
+    reports = {r.name: r for r in run_identity_suite(5)}
+    assert not reports["killing-form"].passed
+    # the sine table is untouched
+    assert reports["alpha-antisymmetry"].passed
+
+
 def test_report_serialization_round():
     report = run_identity_suite(3)[0]
     d = report.to_dict()

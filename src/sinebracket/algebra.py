@@ -290,14 +290,20 @@ def killing_closed(grid: TruncationGrid) -> np.ndarray:
     return out
 
 
-def _orthogonality_sum(grid: TruncationGrid, l) -> tuple[float, float]:
-    """sum_k cos((2pi/n) k.l) over the retained set, and the value it must equal."""
-    l = _as_wave_vector(l)
+def _orthogonality_sum(
+    grid: TruncationGrid, witnesses: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """sum_k cos((2pi/n) k.l) over the retained set for each row l of a
+    (W, 2) integer stack, and the values they must equal.
+
+    Each sum runs along a contiguous row of one (W, N) cosine block, so it
+    is the same float as the sum of that witness alone.
+    """
     v = grid.vectors
-    dots = (v[:, 0] * l.i1 + v[:, 1] * l.i2) % grid.n
-    total = float(np.sum(cosine_table(grid.n)[dots]))
-    wraps_to_zero = l.i1 % grid.n == 0 and l.i2 % grid.n == 0
-    return total, float(grid.n**2 - 1) if wraps_to_zero else -1.0
+    dots = (witnesses[:, :1] * v[:, 0] + witnesses[:, 1:] * v[:, 1]) % grid.n
+    totals = np.sum(cosine_table(grid.n)[dots], axis=1)
+    wraps_to_zero = np.all(witnesses % grid.n == 0, axis=1)
+    return totals, np.where(wraps_to_zero, float(grid.n**2 - 1), -1.0)
 
 
 def orthogonality_check(grid: TruncationGrid, l) -> float:
@@ -305,11 +311,13 @@ def orthogonality_check(grid: TruncationGrid, l) -> float:
 
     Equals n^2 - 1 when l wraps to the origin modulo n and -1 otherwise;
     this discrete orthogonality is what collapses the Killing double sum.
-    An absolute deviation beyond 1e-11 raises :class:`ConsistencyError`.
+    An absolute deviation beyond 1e-11, or a NaN sum, raises
+    :class:`ConsistencyError`.
     """
     l = _as_wave_vector(l)
-    total, expected = _orthogonality_sum(grid, l)
-    if abs(total - expected) > 1e-11:
+    totals, expected = _orthogonality_sum(grid, np.array([[l.i1, l.i2]]))
+    total, expected = float(totals[0]), float(expected[0])
+    if not abs(total - expected) <= 1e-11:
         raise ConsistencyError(
             f"mode orthogonality violated at l={tuple(l)}: sum {total!r}, expected {expected!r}"
         )

@@ -96,6 +96,15 @@ def _report(
 # ---------------------------------------------------------------------------
 
 
+def _nanmax(*values: float) -> float:
+    """max(values), except that a NaN among them gives NaN.
+
+    The builtin keeps its running value when it compares a NaN, so a NaN
+    residual folded with max() would drop out and its check would pass.
+    """
+    return math.nan if any(v != v for v in values) else max(values)
+
+
 def _table_antisymmetry_residual(grid: TruncationGrid) -> float:
     s = _pair_tables(grid.n).sin_cross
     return float(np.max(np.abs(s + s.T))) / float(np.max(np.abs(s)))
@@ -105,43 +114,72 @@ def _table_jacobi_residual(grid: TruncationGrid) -> float:
     """max |sum of the three adjoint products| / max |single product|.
 
     The deltas force the free upper index, so the identity reduces to a
-    scan over (i, j, k); each summand is a product of two sine entries,
+    scan over triples; each summand is a product of two sine entries,
     and a sum that wraps onto the origin carries an exactly-zero sine.
+    :func:`_jacobi_orbit_max` scans each cyclic orbit of triples once:
+    3.8 million triples at n = 15 (N = 224) instead of N^3 = 11.2 million,
+    which makes it about twice as fast as a scan of every rotation.
 
-    For each a, the three (N, N) terms are gathered as 1-D takes from
-    contiguous rows of s and from a contiguous copy of column a,
-    multiplied and summed as (t1 + t2) + t3 in three preallocated
-    buffers.  Every term is some s[x, y] * s[w[x, y], z], so the largest
-    single product is max(|s| * rowmax(|s|)[w]), computed once:
-    |x y| = |x| |y| in floating point and rounding is monotone, so this
-    equals the per-term maximum bit for bit.  No entry is derived from
-    s = -s^T, so a table that is not antisymmetric is scanned as it stands.
+    Every term is some s[x, y] * s[w[x, y], z], so the largest single
+    product is max(|s| * rowmax(|s|)[w]), computed once: |x y| = |x| |y|
+    in floating point and rounding is monotone, so this equals the
+    per-term maximum bit for bit.
     """
     t = _pair_tables(grid.n)
     s = t.sin_cross
     w = np.clip(t.wrap_index, 0, None)  # sums wrapping onto the origin carry sine 0
-    size = grid.size
-    t12 = np.empty((size, size))
-    t2 = np.empty((size, size))
-    t3 = np.empty((size, size))
+    worst = _jacobi_orbit_max(s, w)
+    abs_s = np.abs(s)
+    term_scale = float(np.max(np.multiply(abs_s, abs_s.max(axis=1)[w], out=abs_s)))
+    return worst / term_scale if term_scale else 0.0
+
+
+def _jacobi_orbit_max(s: np.ndarray, w: np.ndarray) -> float:
+    """max over triples (a, i, j) of |J|, J the sum of the three products
+
+        s[a, i] s[w[a, i], j] + s[i, j] s[w[i, j], a] + s[j, a] s[w[j, a], i]
+
+    formed as (t1 + t2) + t3, for an (N, N) table s and an in-range (N, N)
+    index table w; NaN if any J is NaN.
+
+    A cyclic rotation of (a, i, j) sums the same three products, so each
+    orbit is scanned once, from its smallest index: row a covers the block
+    i >= a, j >= a, about N^3/3 triples in all.  Neither s = -s^T nor a
+    symmetric w is assumed.  Each J is formed bit for bit as a scan of
+    every rotation forms it at row a, so the result is one of that scan's
+    values: no larger, and smaller by at most the rounding spread between
+    rotations.
+
+    Three (N, N) buffers are reused as flat views: t2 is gathered from
+    column a at a copy of w[a:, a:] parked in the third buffer, which then
+    holds the contiguous s[:, a:] that the row takes of t1 and t3 read.
+    """
+    size = len(s)
+    b1, b2, b3 = np.empty((3, size * size))
+    index = b3.view(np.intp)
     worst = 0.0
     # w is already in range; mode="clip" only spares take() the temporary
     # copy of `out` that its default mode="raise" makes.
     for a in range(size):
+        m = size - a
         col = s[:, a].copy()
-        np.take(s, w[a], axis=0, out=t12, mode="clip")  # w[a]: wrap of i+j over j
-        np.multiply(s[a][:, None], t12, out=t12)
-        np.take(col, w, out=t2, mode="clip")
-        np.multiply(s, t2, out=t2)
-        np.take(s, w[:, a], axis=0, out=t3, mode="clip")  # w[:, a]: wrap of k+i over k
-        np.multiply(col[:, None], t3, out=t3)
-        np.add(t12, t2, out=t12)
-        np.add(t12, t3.T, out=t12)
-        worst = max(worst, float(np.max(np.abs(t12, out=t12))))
-    abs_s = np.abs(s, out=t2)
-    np.take(abs_s.max(axis=1), w, out=t3, mode="clip")
-    term_scale = float(np.max(np.multiply(abs_s, t3, out=t3)))
-    return worst / term_scale if term_scale else 0.0
+        w_block = index[: m * m].reshape(m, m)
+        np.copyto(w_block, w[a:, a:])
+        t2 = b2[: m * m].reshape(m, m)
+        np.take(col, w_block, out=t2, mode="clip")  # s[w[i, j], a]
+        np.multiply(s[a:, a:], t2, out=t2)
+        rows = b3[: size * m].reshape(size, m)
+        np.copyto(rows, s[:, a:])
+        t1 = b1[: m * m].reshape(m, m)
+        np.take(rows, w[a, a:], axis=0, out=t1, mode="clip")  # s[w[a, i], j]
+        np.multiply(s[a, a:, None], t1, out=t1)
+        np.add(t1, t2, out=t1)
+        t3 = b2[: m * m].reshape(m, m)
+        np.take(rows, w[a:, a], axis=0, out=t3, mode="clip")  # s[w[j, a], i] at [j, i]
+        np.multiply(col[a:, None], t3, out=t3)
+        np.add(t1, t3.T, out=t1)
+        worst = _nanmax(worst, float(np.max(np.abs(t1, out=t1))))
+    return worst
 
 
 def _killing_residual(grid: TruncationGrid) -> float:
@@ -156,9 +194,9 @@ def _orthogonality_residual(grid: TruncationGrid) -> float:
     sum must jump from -1 to n^2 - 1.
     """
     n = grid.n
-    witnesses = [*grid, (0, 0), (n, 0), (0, n), (n, n)]
-    sums = (_orthogonality_sum(grid, l) for l in witnesses)
-    return max(abs(total - expected) for total, expected in sums)
+    witnesses = np.vstack([grid.vectors, [(0, 0), (n, 0), (0, n), (n, n)]])
+    totals, expected = _orthogonality_sum(grid, witnesses)
+    return _nanmax(*np.abs(totals - expected))
 
 
 def _casimir_residual(grid: TruncationGrid, rng: np.random.Generator) -> float:
@@ -178,7 +216,7 @@ def _casimir_residual(grid: TruncationGrid, rng: np.random.Generator) -> float:
         ge = e.gradient(field)
         for f in observables:
             value, scale = _bilinear_with_scale(matrix, f.gradient(field), ge)
-            worst = max(worst, abs(value) / max(scale, 1e-300))
+            worst = _nanmax(worst, abs(value) / max(scale, 1e-300))
     return worst
 
 
@@ -201,7 +239,7 @@ def _reduction_residual(grid: TruncationGrid, rng: np.random.Generator) -> float
                 g1, g2 = f1.gradient(field), f2.gradient(field)
                 v_n, s_n = _bilinear_with_scale(nm, g1, g2)
                 v_l, s_l = _bilinear_with_scale(lp, g1, g2)
-                worst = max(worst, abs(v_n - v_l) / max(s_n, s_l, 1e-300))
+                worst = _nanmax(worst, abs(v_n - v_l) / max(s_n, s_l, 1e-300))
     return worst
 
 
@@ -245,7 +283,7 @@ def _rhs_equivalence_residual(grid: TruncationGrid, rng: np.random.Generator) ->
     worst = 0.0
     for a in range(len(routes)):
         for b in range(a + 1, len(routes)):
-            worst = max(worst, float(np.max(np.abs(routes[a] - routes[b]))))
+            worst = _nanmax(worst, float(np.max(np.abs(routes[a] - routes[b]))))
     return worst / max(scale, 1e-300)
 
 
@@ -302,7 +340,7 @@ def run_counterexample(n: int) -> CheckReport:
     For both the truncated and the untruncated tensor the first summand
     must be nonzero while the other two vanish exactly; the reported
     residual is the worst spurious summand (inf when a first summand
-    degenerates to zero, so the check fails in that direction too).
+    degenerates to zero or NaN, so the check fails in that direction too).
     """
     if n < 5:
         raise ValueError(f"counterexample evaluation needs n >= 5, got {n}")
@@ -315,9 +353,9 @@ def run_counterexample(n: int) -> CheckReport:
     }
     residual = 0.0
     for terms in summands.values():
-        if terms[0] == 0.0:
+        if not abs(terms[0]) > 0.0:
             residual = math.inf
-        residual = max(residual, abs(terms[1]), abs(terms[2]))
+        residual = _nanmax(residual, abs(terms[1]), abs(terms[2]))
     params = {
         "n": n,
         "tuple": [list(v) for v in tup],
@@ -428,7 +466,7 @@ def run_convergence_study(
         )
 
     if exponents:
-        residual = max(abs(e - 2.0) for e in exponents)
+        residual = _nanmax(*(abs(e - 2.0) for e in exponents))
     else:
         residual = math.inf  # nothing to fit: only collinear pairs supplied
     params = {"n_list": list(n_list), "pairs": rows, "seed": seed}

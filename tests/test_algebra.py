@@ -52,7 +52,7 @@ from sinebracket.dynamics import (
     hamiltonian_functional,
     random_shell_field,
 )
-from sinebracket.errors import ValidationError
+from sinebracket.errors import ConsistencyError, ValidationError
 from sinebracket.functionals import ModePolynomial, random_real_polynomial
 from sinebracket.grid import ModeField, build_grid
 
@@ -274,6 +274,29 @@ def test_orthogonality_relation():
     # arguments that wrap onto the origin flip the sum to n^2 - 1
     for l in [(0, 0), (5, 0), (0, 5), (5, 5)]:
         assert orthogonality_check(grid, l) == pytest.approx(24.0, abs=1e-11)
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 15])
+def test_orthogonality_sums_are_bitwise_the_single_witness_sums(n):
+    # One (W, N) cosine block summed along its rows gives, for each witness,
+    # the float that the 1-D sum over that witness alone gives.
+    grid = build_grid(n)
+    witnesses = np.vstack([grid.vectors, [(0, 0), (n, 0), (0, n), (n, n)]])
+    totals, expected = sine_algebra._orthogonality_sum(grid, witnesses)
+    v = grid.vectors
+    for (l1, l2), total, want in zip(witnesses, totals, expected):
+        single = float(np.sum(sine_algebra.cosine_table(n)[(v[:, 0] * l1 + v[:, 1] * l2) % n]))
+        assert total == single
+        assert sine_algebra._orthogonality_sum(grid, np.array([[l1, l2]]))[0][0] == single
+        assert want == (n * n - 1.0 if l1 % n == 0 and l2 % n == 0 else -1.0)
+
+
+def test_orthogonality_check_refuses_a_nan_sum(monkeypatch):
+    table = sine_algebra.cosine_table(5).copy()
+    table[1] = np.nan
+    monkeypatch.setattr(sine_algebra, "cosine_table", lambda n: table)
+    with pytest.raises(ConsistencyError, match="orthogonality violated"):
+        orthogonality_check(build_grid(5), (1, 0))
 
 
 def test_quadratic_casimir_equals_enstrophy():

@@ -9,6 +9,7 @@ from sinebracket import algebra, verify
 from sinebracket.algebra import _pair_tables
 from sinebracket.grid import build_grid
 from sinebracket.verify import (
+    _jacobi_orbit_max,
     _table_jacobi_residual,
     format_reports,
     gen_jacobi_residual_known,
@@ -102,6 +103,88 @@ def test_table_jacobi_residual_matches_reference_on_a_corrupted_table(n, expecte
     assert residual == _table_jacobi_residual_per_row(grid) == expected
 
 
+def _jacobi_orbit_reference(s, w):
+    # Reference: every canonical triple (a the smallest index) in Python,
+    # summed as (t1 + t2) + t3.
+    worst = 0.0
+    size = len(s)
+    for a in range(size):
+        for i in range(a, size):
+            for j in range(a, size):
+                t1 = s[a, i] * s[w[a, i], j]
+                t2 = s[i, j] * s[w[i, j], a]
+                t3 = s[j, a] * s[w[j, a], i]
+                worst = max(worst, abs((t1 + t2) + t3))
+    return worst
+
+
+def _wrap_asymmetric_tables(n):
+    # w(1, 0) pointed at the next retained mode, so w(1, 0) != w(0, 1).
+    tables = _pair_tables(n)
+    wrap = tables.wrap_index.copy()
+    wrap[1, 0] = (wrap[1, 0] + 1) % len(wrap)
+    return tables._replace(wrap_index=wrap)
+
+
+def _random_tables(n):
+    # Tables with no structure at all: a kernel that read w or s at a
+    # transposed or rotated position would move the maximum.
+    size = n * n - 1
+    rng = np.random.default_rng(n)
+    return _pair_tables(n)._replace(
+        sin_cross=rng.normal(size=(size, size)), wrap_index=rng.integers(size, size=(size, size))
+    )
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize(
+    "build", [_pair_tables, _sign_flipped_tables, _wrap_asymmetric_tables, _random_tables]
+)
+def test_jacobi_orbit_kernel_is_bitwise_the_canonical_triple_reference(n, build):
+    tables = build(n)
+    w = np.clip(tables.wrap_index, 0, None)
+    assert _jacobi_orbit_max(tables.sin_cross, w) == _jacobi_orbit_reference(tables.sin_cross, w)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 15])
+def test_table_jacobi_residual_is_within_rounding_below_every_rotation(n):
+    # The orbit scan keeps one rotation of each triple, so its residual is
+    # one of the all-rotations values: no larger, and smaller by at most
+    # the rounding spread of a three-term sum, 6 eps of the term scale.
+    grid = build_grid(n)
+    old = _table_jacobi_residual_per_row(grid)
+    new = _table_jacobi_residual(grid)
+    assert old - 6 * np.finfo(float).eps <= new <= old
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (3, 0.0),
+        (5, 4.296013357829914e-16),
+        (7, 2.628135418296424e-16),
+        (9, 3.4342235859266996e-16),
+        (15, 4.4899501906260685e-16),
+    ],
+)
+def test_table_jacobi_residual_is_pinned(n, expected):
+    # No BLAS call enters the kernel, so the residual is reproducible.
+    assert _table_jacobi_residual(build_grid(n)) == expected
+
+
+def test_wrap_table_without_symmetry_fails_the_jacobi_check(monkeypatch):
+    # With w(1, 0) != w(0, 1) the orbit scan, which assumes no symmetry of
+    # w, must see the fault that the all-rotations reference sees.
+    grid = build_grid(5)
+    corrupted = _wrap_asymmetric_tables(5)
+    assert corrupted.sin_cross[1, 0] != 0.0
+    assert corrupted.wrap_index[1, 0] != corrupted.wrap_index[0, 1]
+    monkeypatch.setattr(verify, "_pair_tables", lambda n: corrupted)
+    (report,) = run_identity_suite(5, only="jacobi-identity")
+    assert not report.passed
+    assert _table_jacobi_residual_per_row(grid) > report.tolerance
+
+
 def test_identity_suite_rejects_bad_n():
     for bad in (4, 2, 17, 1, -5):
         with pytest.raises(ValueError):
@@ -147,6 +230,55 @@ def test_fault_injection_on_the_wrap_table_is_caught(monkeypatch):
     assert reports["alpha-antisymmetry"].passed
 
 
+def _nan_at_0_1(fn):
+    # fn with a NaN written into a copy of its (matrix) result at [0, 1]
+    def planted(*args, **kwargs):
+        out = np.array(fn(*args, **kwargs))
+        out[0, 1] = np.nan
+        return out
+
+    return planted
+
+
+def _orthogonality_nan_last(fn):
+    # The NaN goes to the last witness, past the first one that max() keeps.
+    def planted(grid, witnesses):
+        totals, expected = fn(grid, witnesses)
+        totals[-1] = np.nan
+        return totals, expected
+
+    return planted
+
+
+@pytest.mark.parametrize(
+    "name, helper, plant",
+    [
+        ("orthogonality", "_orthogonality_sum", _orthogonality_nan_last),
+        ("casimir-commutes", "_lie_poisson_matrix", _nan_at_0_1),
+        ("nambu-reduction", "_lie_poisson_matrix", _nan_at_0_1),
+        ("rhs-equivalence", "rhs_fast", _nan_at_0_1),
+    ],
+)
+def test_a_nan_residual_fails_its_check(name, helper, plant, monkeypatch):
+    monkeypatch.setattr(verify, helper, plant(getattr(verify, helper)))
+    (report,) = run_identity_suite(5, only=name)
+    assert math.isnan(report.max_residual)
+    assert report.passed is False
+
+
+def test_a_nan_in_the_sine_table_fails_the_jacobi_check(monkeypatch):
+    tables = _pair_tables(5)
+    s = tables.sin_cross.copy()
+    s[1, 2] = np.nan
+    # the orbit scan itself carries the NaN, not only the term scale
+    assert math.isnan(_jacobi_orbit_max(s, np.clip(tables.wrap_index, 0, None)))
+    corrupted = tables._replace(sin_cross=s)
+    monkeypatch.setattr(verify, "_pair_tables", lambda n: corrupted)
+    (report,) = run_identity_suite(5, only="jacobi-identity")
+    assert math.isnan(report.max_residual)
+    assert report.passed is False
+
+
 def test_report_serialization_round():
     report = run_identity_suite(3)[0]
     d = report.to_dict()
@@ -171,6 +303,17 @@ def test_counterexample_report(n):
     assert zt[0] == pytest.approx(gen_jacobi_residual_known(n), rel=1e-13)
     assert zt[1] == 0.0 and zt[2] == 0.0
     assert ct[0] > 0.0 and ct[1] == 0.0 and ct[2] == 0.0
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_counterexample_with_a_nan_summand_fails(position, monkeypatch):
+    def planted(tensor, *tup):
+        terms = list(algebra.gen_jacobi_terms(tensor, *tup))
+        terms[position] = math.nan
+        return tuple(terms)
+
+    monkeypatch.setattr(verify, "gen_jacobi_terms", planted)
+    assert run_counterexample(5).passed is False
 
 
 def test_counterexample_rejects_small_or_even_n():
@@ -224,6 +367,19 @@ def test_convergence_only_collinear_fails():
     report = run_convergence_study([((1, 0), (2, 0))], n_list=(11, 21))
     assert not report.passed
     assert report.max_residual == math.inf
+
+
+def test_convergence_with_a_nan_exponent_fails(monkeypatch):
+    # The NaN goes to the second pair, past the first one that max() keeps.
+    exact = verify.alpha_zeitlin
+
+    def planted(grid, i, j, k):
+        return math.nan if tuple(i) == (1, 1) else exact(grid, i, j, k)
+
+    monkeypatch.setattr(verify, "alpha_zeitlin", planted)
+    report = run_convergence_study([((1, 0), (0, 1)), ((1, 1), (-1, 2))], n_list=(11, 21))
+    assert math.isnan(report.params["pairs"][1]["exponent"])
+    assert report.passed is False
 
 
 def test_convergence_study_input_validation():

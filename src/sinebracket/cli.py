@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -258,6 +259,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "rhs_calls_max_step": counts.max_per_step,
         "wall_time_s": wall,
         "steps_per_s": config.steps / wall if config.steps else 0.0,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # KiB on Linux
     }
     write_json(paths["summary"], summary)
     for p in paths.values():

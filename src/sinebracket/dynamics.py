@@ -21,8 +21,8 @@ The fast route rewrites the truncated field as an n x n matrix over the
 clock-and-shift basis, where the sine bracket becomes an exact matrix
 commutator (the su(n) realisation of the truncation).  A real field maps
 to a Hermitian matrix W, and that matrix is the state the steppers
-advance: :func:`lift` builds it once per run, :func:`lower` returns to
-modes where they are read (records, the final state).  The mode <-> matrix
+advance: :func:`lift` builds it once per run, the records read H and E off
+W, and :func:`lower` gives the final state's modes.  The mode <-> matrix
 transforms are one flat gather and one FFT per diagonal, on half-width
 tables: a Hermitian or skew-Hermitian matrix is fixed by its diagonals
 0..(n-1)/2, the rest are conjugate mirrors, so only those (n+1)/2 rows are
@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -68,7 +69,6 @@ from .grid import (
     TWO_PI,
     ModeField,
     TruncationGrid,
-    _invariants,
     _quadratic_sum,
     _quadratic_terms,
     _wrapped,
@@ -203,6 +203,11 @@ class _WeylTables:
         norms2 = c**2 + signed[None, :] ** 2
         self.stream = np.zeros((m + 1, n), dtype=np.complex128)
         self.stream[norms2 > 0] = (-0.25j * n / np.pi) / norms2[norms2 > 0]
+        # invariants: H and E weights on the squared floats of the half table,
+        # 1 in row 0, 2 in rows whose mirrors it omits, 0 at the trace, /|k|^2 for H.
+        weight = np.where(c > 0, 2.0, 1.0) * (norms2 > 0)
+        pair = np.repeat([weight / np.maximum(norms2, 1), weight], 2, axis=-1)
+        self.invariant_weights = pair.reshape(2, -1)
         # lower: retained k in canonical order read from the half table,
         # at (k2, k1) when k2 >= 0 and conjugated from -k otherwise.
         v = build_grid(n).vectors
@@ -210,7 +215,7 @@ class _WeylTables:
         k2, k1 = np.abs(v[:, 1]), np.where(self.mirrored, -v[:, 0], v[:, 0]) % n
         self.from_modes = k2 * n + k1
         for arr in (self.phase, self.from_matrix, self.to_matrix, self.stream,
-                    self.mirrored, self.from_modes):
+                    self.invariant_weights, self.mirrored, self.from_modes):
             arr.setflags(write=False)
 
 
@@ -220,7 +225,7 @@ def _weyl_tables(n: int) -> _WeylTables:
 
 
 class _Workspace:
-    """Scratch matrices at one n: two for :func:`rhs_fast`, the rest for :func:`step`.
+    """Scratch matrices at one n: two for :func:`rhs_fast` and records, the rest for :func:`step`.
 
     Shared by every call at that n, so neither function is reentrant or
     thread-safe; the two sets are disjoint, so ``step`` may hand its
@@ -308,6 +313,16 @@ def lower(w: np.ndarray) -> ModeField:
     return ModeField(grid, 0.5 * (y + np.conj(y[grid.neg_index])))
 
 
+def _matrix_invariants(w: np.ndarray) -> tuple[float, float]:
+    """(H, E) of a Hermitian matrix, grid._invariants(lower(w)) to rounding: the weighted
+    squares |c_k phase_k|^2 = zeta_k zeta_{-k} of its half table, summed as np.sum does."""
+    n = len(w)
+    squares = _from_weyl_matrix(n, w, out=_workspace(n).spectral).view(np.float64)
+    np.square(squares, out=squares)
+    h, e = np.add.reduce(_weyl_tables(n).invariant_weights * squares.ravel(), axis=-1).tolist()
+    return 0.5 * TWO_PI**2 * h, 0.5 * TWO_PI**2 * e
+
+
 def rhs_fast(grid: TruncationGrid, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Tendency dW/dt of the Hermitian vorticity matrix, one matmul, O(n^3).
 
@@ -357,8 +372,13 @@ class IntegratorConfig:
     def __post_init__(self) -> None:
         if self.scheme not in ("rk4", "implicit_midpoint"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.dt == 0 or not np.isfinite(self.dt):
-            raise ValueError(f"dt must be nonzero and finite, got {self.dt}")  # negative = reversed run
+        for name in ("steps", "record_every"):  # refuse bools and fractions, store as int
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if isinstance(self.dt, bool) or self.dt == 0 or not np.isfinite(self.dt):  # < 0: reversed run
+            raise ValueError(f"dt must be a nonzero finite number, got {self.dt!r}")
         if self.steps < 0:
             raise ValueError(f"steps must be nonnegative, got {self.steps}")
         if self.record_every < 1:
@@ -407,8 +427,9 @@ def step(
     ``w`` is left untouched and must be square with odd n >= 3, else
     :class:`ValueError`.  RK4 stages and midpoint sweeps run in the per-n
     workspace; the only array allocated is the returned matrix.  ``rhs``
-    writes each tendency into the ``out`` it is given.  ``guess`` (a
-    matrix) starts the implicit midpoint solve in place of the
+    writes each tendency into the ``out`` it is given and must be quadratic
+    in W: a sweep takes f(W + W~)/4 for f((W + W~)/2), bitwise the same.
+    ``guess`` (a matrix) starts the implicit midpoint solve in place of the
     explicit-Euler guess (RK4 ignores it).  A non-finite solver update
     raises :class:`ConsistencyError` at once.
     """
@@ -442,10 +463,8 @@ def step(
         scale = max(1.0, float(np.abs(current, out=ws.magnitude).max()))
         delta = math.nan
         for _ in range(_MIDPOINT_MAX_ITER):
-            np.add(w, current, out=trial)
-            trial *= 0.5
-            k = rhs(grid, trial, out=slope)
-            improved = _axpy(trial, dt, k, w)  # the midpoint is spent
+            k = rhs(grid, np.add(w, current, out=trial), out=slope)  # 4 f(midpoint)
+            improved = _axpy(trial, 0.25 * dt, k, w)  # W + W~ is spent
             update = np.subtract(improved, current, out=slope)
             previous, delta = delta, float(np.abs(update, out=ws.magnitude).max())
             if not math.isfinite(delta):
@@ -472,6 +491,12 @@ _GUESS_WEIGHTS = [
     np.array([(-1) ** j * math.comb(q + 1, j + 1) for j in range(q + 1)], dtype=np.float64)
     for q in range(_GUESS_ORDER + 1)
 ]
+# The same weights per ring slot of integrate(), keyed by (states kept, slot of the newest).
+_SLOT_WEIGHTS = {
+    (kept, newest): _GUESS_WEIGHTS[kept - 1][(newest - np.arange(kept)) % (_GUESS_ORDER + 1)]
+    for kept in range(2, _GUESS_ORDER + 2)
+    for newest in (range(kept) if kept > _GUESS_ORDER else [kept - 1])
+}
 
 
 def _drift(value: float, initial: float) -> float:
@@ -479,10 +504,8 @@ def _drift(value: float, initial: float) -> float:
     return abs(value - initial) / max(abs(initial), 1e-300) if initial != 0.0 else abs(value)
 
 
-def _record(time: float, field: ModeField, h0: float, e0: float) -> DiagnosticsRecord:
-    # integrate() has validated the reality of its input, and lowered
-    # fields are exactly real.
-    h, e = _invariants(field)
+def _record(time: float, w: np.ndarray, h0: float, e0: float) -> DiagnosticsRecord:
+    h, e = _matrix_invariants(w)  # off W: a record lowers nothing
     return DiagnosticsRecord(time, h, e, _drift(h, h0), _drift(e, e0))
 
 
@@ -496,8 +519,8 @@ def integrate(
 
     The input field's reality condition is validated (relative 1e-10) on
     entry, and the field is lifted once; :func:`step` advances the
-    Hermitian matrix W, which is lowered to modes only at the records and
-    for the returned field.
+    Hermitian matrix W, records read H and E (and their drifts from t = 0)
+    off W, and W is lowered to modes once, for the returned field.
     Finiteness is checked after every step, where a non-finite state raises
     :class:`ConsistencyError`; a :class:`StepConvergenceError` or
     :class:`ConsistencyError` of a step is raised again with the time the
@@ -509,9 +532,9 @@ def integrate(
     series; the input field is left untouched.
     """
     validate_reality(field, tol=1e-10)
-    h0, e0 = _invariants(field)
-    records = [_record(0.0, field, h0, e0)]
     w, t = lift(field), 0.0
+    h0, e0 = _matrix_invariants(w)
+    records = [DiagnosticsRecord(0.0, h0, e0, 0.0, 0.0)]
     counts = RhsCounts() if counts is None else counts
 
     def counted(grid: TruncationGrid, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -536,8 +559,8 @@ def integrate(
             before = counts.calls
             guess = None
             if implicit and kept > 1:
-                ages = (s - 1 - np.arange(kept)) % len(history)
-                guess = (_GUESS_WEIGHTS[kept - 1][ages] @ history[:kept]).reshape(w.shape)
+                weights = _SLOT_WEIGHTS[kept, (s - 1) % len(history)]
+                guess = (weights @ history[:kept]).reshape(w.shape)
             try:
                 w = step(w, config, counted, guess)
             except (StepConvergenceError, ConsistencyError) as exc:
@@ -553,10 +576,9 @@ def integrate(
                 history[s % len(history)] = w.ravel()
                 kept = min(kept + 1, len(history))
             if s % config.record_every == 0 or s == config.steps:
-                records.append(_record(t, lower(w), h0, e0))
+                records.append(_record(t, w, h0, e0))
     # The caller writes the run's outputs next; a workspace still held
-    # would add to the peak memory of that, and so would a lowered field
-    # kept across the steps.
+    # would add to the peak memory of that.
     _workspace.cache_clear()
     return (lower(w) if config.steps else field), records
 

@@ -73,8 +73,9 @@ def test_rhs_fast_reaches_each_traced_layer(monkeypatch):
 
 
 def test_lift_and_lower_each_reach_one_transform(monkeypatch):
-    # Every run lifts its initial field and lowers its records, so the
-    # to-Weyl and from-Weyl spans fire on each run and verify workload.
+    # Every run lifts its initial field, reads its records off the matrix
+    # and lowers its final state, so the to-Weyl and from-Weyl spans fire
+    # on each run and verify workload.
     grid = sinebracket.build_grid(9)
     field = dynamics.random_shell_field(grid, seed=0)
     calls = _count_traced_layers(monkeypatch, lambda: dynamics.lift(field))

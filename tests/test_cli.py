@@ -289,6 +289,36 @@ def test_run_summary_reports_steps_per_second(tmp_path):
     assert json.loads((tmp_path / "out" / "summary.json").read_text())["steps_per_s"] == 0.0
 
 
+def test_run_summary_reports_peak_rss(tmp_path):
+    cfg_path, _ = _write_config(tmp_path)
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+    peak = json.loads((tmp_path / "out" / "summary.json").read_text())["peak_rss_mb"]
+    assert type(peak) is float and peak > 0.0
+
+
+# sha256 of final_state.csv, taken before the midpoint sweep stopped halving
+# W + W~ (it now takes f(W + W~)/4, which is f((W + W~)/2) bitwise).
+@pytest.mark.parametrize(
+    "scheme, digest",
+    [
+        ("implicit_midpoint", "e24b960902cc18490eef51de65470f39ae653ef2fecc5a3825f9b0227bd06b08"),
+        ("rk4", "301dfce13c182f01be60e7fac745e5664433a6a0311c32806ad74b35dc8d885c"),
+    ],
+)
+def test_run_final_state_bytes_are_pinned(tmp_path, scheme, digest):
+    ic = {"type": "shell", "shell_min": 1.0, "shell_max": 4.0, "amplitude": 4.0}
+    outputs = []
+    for name in ("first", "again"):
+        cfg_path, _ = _write_config(
+            tmp_path, n=9, scheme=scheme, dt=1e-2, steps=40, record_every=10, seed=5,
+            initial_condition=ic, out_dir=str(tmp_path / name),
+        )
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+        outputs.append([(tmp_path / name / f).read_bytes() for f in ("final_state.csv", "diagnostics.csv")])
+    assert hashlib.sha256(outputs[0][0]).hexdigest() == digest
+    assert outputs[0] == outputs[1]
+
+
 def test_run_config_accepts_integral_floats():
     config = RunConfig.from_mapping({"n": 7.0, "dt": 1e-3, "steps": 1e3, "seed": 3.0})
     assert (config.n, config.steps, config.record_every, config.seed) == (7, 1000, 100, 3)

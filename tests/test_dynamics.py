@@ -34,7 +34,15 @@ from sinebracket.dynamics import (
 )
 from sinebracket.errors import ConsistencyError, StepConvergenceError, ValidationError
 from sinebracket.functionals import coordinate_functional
-from sinebracket.grid import ModeField, _wrapped, build_grid, energy, enstrophy, validate_reality
+from sinebracket.grid import (
+    ModeField,
+    _invariants,
+    _wrapped,
+    build_grid,
+    energy,
+    enstrophy,
+    validate_reality,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -332,6 +340,15 @@ def test_integrator_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(record_every=0)
     assert IntegratorConfig(dt=-1e-3).dt == -1e-3  # reversed runs are legal
+    # record_every=1.5 once recorded only at s = 3 of 3 steps, steps=True
+    # and dt=True ran as 1, and steps=2.5 failed inside range().
+    for settings in ({"steps": 2.5}, {"steps": 3.0}, {"steps": True}, {"steps": "3"},
+                     {"record_every": 1.5}, {"record_every": True}, {"dt": True}):
+        with pytest.raises(ValueError):
+            IntegratorConfig(**settings)
+    config = IntegratorConfig(steps=np.int64(3), record_every=np.int32(2))
+    assert (config.steps, config.record_every) == (3, 2)
+    assert type(config.steps) is int and type(config.record_every) is int
 
 
 def test_integrate_records_initial_and_final():
@@ -345,17 +362,24 @@ def test_integrate_records_initial_and_final():
     assert np.array_equal(field.coeffs, _band_field(grid, seed=4, amplitude=1.0).coeffs)
 
 
-def test_record_invariants_equal_energy_and_enstrophy_bitwise():
-    # diagnostics.csv holds exactly what energy() and enstrophy() return
-    for n in (5, 21, 41):
-        grid = build_grid(n)
-        field = random_shell_field(grid, seed=n, shell_max=float(n), amplitude=6.0)
-        validate_reality(field)
-        record = dynamics._record(0.25, field, 2.0, 0.0)
-        h, e = energy(field), enstrophy(field)
-        assert (record.energy.hex(), record.enstrophy.hex()) == (h.hex(), e.hex())
-        assert record.drift_energy == abs(h - 2.0) / 2.0  # relative to a nonzero start
-        assert record.drift_enstrophy == e  # absolute from a zero start
+@pytest.mark.parametrize("n", [3, 5, 21, 161])
+def test_record_invariants_from_the_matrix_match_the_lowered_field(n):
+    # diagnostics.csv reads H and E off the stepped matrix W; they are the
+    # invariants of lower(W) to rounding, also for a field at integrate's
+    # 1e-10 entry tolerance, which lifts as its real part.
+    grid = build_grid(n)
+    field = random_shell_field(grid, seed=n, shell_max=float(n), amplitude=6.0)
+    entry = field.copy()
+    entry.coeffs[grid.neg_index[int(np.argmax(np.abs(entry.coeffs)))]] *= 1.0 + 5e-11j
+    assert 1e-12 < entry.reality_residual() <= 1e-10
+    for start in (field, entry):
+        w = lift(start)
+        h, e = _invariants(lower(w))
+        record = dynamics._record(0.25, w, 2.0, 0.0)
+        assert abs(record.energy - h) <= 1e-15 * h
+        assert abs(record.enstrophy - e) <= 1e-15 * e
+        assert record.drift_energy == abs(record.energy - 2.0) / 2.0  # relative to a nonzero start
+        assert record.drift_enstrophy == record.enstrophy  # absolute from a zero start
 
 
 def test_integrate_zero_steps_is_identity():
@@ -363,7 +387,37 @@ def test_integrate_zero_steps_is_identity():
     field = _band_field(grid, seed=6, amplitude=1.0)
     final, records = integrate(field, IntegratorConfig(steps=0))
     assert final is field
-    assert records == [DiagnosticsRecord(0.0, energy(field), enstrophy(field), 0.0, 0.0)]
+    [record] = records
+    assert (record.time, record.drift_energy, record.drift_enstrophy) == (0.0, 0.0, 0.0)
+    assert abs(record.energy - energy(field)) <= 1e-15 * energy(field)
+    assert abs(record.enstrophy - enstrophy(field)) <= 1e-15 * enstrophy(field)
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "implicit_midpoint"])
+def test_integrate_lowers_once_per_run(monkeypatch, scheme):
+    # Records read W, so a run lowers only its final state; every record,
+    # the one at t = 0 included, takes one from-Weyl transform.
+    calls = {"lower": 0, "_from_weyl_matrix": 0}
+
+    def counting(name):
+        inner = getattr(dynamics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, name, wrapper)
+
+    counting("lower")
+    counting("_from_weyl_matrix")
+    field = _band_field(build_grid(7), seed=4, amplitude=1.0)
+    counts = RhsCounts()
+    config = IntegratorConfig(scheme=scheme, dt=1e-3, steps=25, record_every=10)
+    _, records = integrate(field, config, counts=counts)
+    assert calls == {"lower": 1, "_from_weyl_matrix": counts.calls + len(records) + 1}
+    calls.update(lower=0, _from_weyl_matrix=0)
+    integrate(field, IntegratorConfig(scheme=scheme, steps=0))
+    assert calls == {"lower": 0, "_from_weyl_matrix": 1}
 
 
 def test_rk4_drift_small_and_fourth_order():

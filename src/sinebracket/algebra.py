@@ -696,20 +696,31 @@ def dedupe_violations(violations: ViolationTable) -> ViolationTable:
     ``len(members)``; an orbit's key is the smallest such number over the
     12 images of :func:`_violation_orbit`, and the first row with each key
     is kept.  Raises ``ValueError`` when the packing would overflow.
+
+    The images permute slots (0, 1) and slots (2, 4, 5) independently and
+    fix slot 3, so the smallest image sorts each of those slot groups
+    ascending: the key is the packing of (min(i, j), max(i, j),
+    min(k, p, q), l, mid(k, p, q), max(k, p, q)).  The (i, j) part and k
+    are read per first triple, l and the sorted (p, q) per second triple.
     """
     base = len(violations.members)
     if base**6 > 2**63:
         raise ValueError(f"{base} members overflow the int64 orbit key (at most 1448)")
-    # place[s, e]: the digit weight that image e gives to slot s of the tuple
-    images = np.array(_violation_orbit(tuple(range(6))))
-    place = np.zeros((6, len(images)), dtype=np.int64)
-    place[images, np.arange(len(images))[:, None]] = base ** np.arange(5, -1, -1, dtype=np.int64)
-    triples = violations.triples.astype(np.int64)
-    lead, tail = triples @ place[:3], triples @ place[3:]
+    place = base ** np.arange(5, -1, -1, dtype=np.int64)
+    t = violations.triples.astype(np.int64)
+    ij = np.minimum(t[:, 0], t[:, 1]) * place[0] + np.maximum(t[:, 0], t[:, 1]) * place[1]
+    l_part = t[:, 0] * place[3]
+    p_lo, p_hi = np.minimum(t[:, 1], t[:, 2]), np.maximum(t[:, 1], t[:, 2])
     keys = np.empty(len(violations), dtype=np.int64)
     for start in range(0, len(keys), _KEY_BLOCK):
         block = slice(start, start + _KEY_BLOCK)
-        keys[block] = (lead[violations.first[block]] + tail[violations.second[block]]).min(axis=1)
+        first, second = violations.first[block], violations.second[block]
+        k, lo, hi = t[first, 2], p_lo[second], p_hi[second]
+        key = ij[first] + l_part[second]
+        key += np.minimum(k, lo) * place[2]
+        key += np.maximum(lo, np.minimum(k, hi)) * place[4]
+        key += np.maximum(k, hi)
+        keys[block] = key
     _, kept = np.unique(keys, return_index=True)
     return violations[np.sort(kept)]
 
@@ -759,16 +770,40 @@ def scan_gen_jacobi_continuum(bound: int) -> ViolationTable:
     return _scan_closing(tuple(grid), -cross / TWO_PI**4, close, pairs)
 
 
+def _matching_pairs(keys_a: np.ndarray, keys_b: np.ndarray, size: int):
+    """Every (a, b) with ``keys_b[b] == keys_a[a]``, ordered by a, then b.
+
+    Keys are codes in [0, size).  The b are grouped on their key by a
+    stable argsort, and each a is repeated once per member of its group.
+    """
+    order = np.argsort(keys_b, kind="stable")
+    counts = np.bincount(keys_b, minlength=size)
+    starts = np.cumsum(counts) - counts
+    per_a = counts[keys_a]
+    a = np.repeat(np.arange(len(keys_a)), per_a)
+    offset = np.arange(len(a)) - np.repeat(np.cumsum(per_a) - per_a, per_a)
+    return a, order[np.repeat(starts[keys_a], per_a) + offset]
+
+
 def _scan_closing(
     members: Sequence, value: np.ndarray, close: np.ndarray, pairs: np.ndarray
 ) -> ViolationTable:
     """Scan a tensor that is supported on closing triples.
 
     Over the (M, M) member table, ``value[a, b]`` is N(m_a, m_b, m_c) and
-    ``close[a, b]`` is the code c of the member closing (m_a, m_b), or -1.
-    The triples (a, b, close[a, b]) for the True entries of ``pairs``, in
-    row-major order, are paired with each other, and a tuple is a hit when
+    ``close[a, b]`` is the code c of the member closing (m_a, m_b), or -1;
+    every True entry of ``pairs`` must close.  The triples
+    (a, b, close[a, b]) for the True entries of ``pairs``, in row-major
+    order, are paired with each other, and a tuple is a hit when
     |residual| > 1e-10 * (max |value| over ``pairs``)^2.
+
+    The first summand N_ijk N_lpq is nonzero at every pair of triples and
+    is formed as an outer product.  The second needs q = k and the third
+    p = k, so each is added only at the pairs of triples that match on
+    that member (:func:`_matching_pairs`) and whose remaining delta holds.
+    Each residual is summed as (t1 + t2) + t3, as a dense sum with zeros
+    for the absent summands would be, and t1 is never zero, so the
+    residuals are bitwise those of the dense sum.
     """
     pair_i, pair_j = np.nonzero(pairs)
     pair_k = close[pair_i, pair_j]
@@ -776,22 +811,25 @@ def _scan_closing(
     n_pairs = len(pair_i)
     tol = 1e-10 * float(np.max(np.abs(pair_val))) ** 2
 
+    # second summand: q must equal k, and p must close (l, k)
+    a2, b2 = _matching_pairs(pair_k, pair_k, len(members))
+    keep = close[pair_i[b2], pair_k[a2]] == pair_j[b2]
+    a2, b2 = a2[keep], b2[keep]
+    t2 = pair_val[a2] * value[pair_i[b2], pair_k[a2]]
+    # third summand: p must equal k, and k must close (l, q)
+    a3, b3 = _matching_pairs(pair_k, pair_j, len(members))
+    keep = close[pair_i[b3], pair_k[b3]] == pair_k[a3]
+    a3, b3 = a3[keep], b3[keep]
+    t3 = pair_val[a3] * value[pair_i[b3], pair_k[b3]]
+
     first, second, residuals = [], [], []
     chunk = max(1, 1_000_000 // n_pairs)
     for start in range(0, n_pairs, chunk):
-        sl = slice(start, start + chunk)
-        k_c = pair_k[sl][:, None]
-        val_c = pair_val[sl][:, None]
-        t1 = val_c * pair_val[None, :]
-        # second summand: q must equal k, and p must close (l, k)
-        nlk = value[pair_i[None, :], k_c]
-        mask2 = (pair_k[None, :] == k_c) & (close[pair_i[None, :], k_c] == pair_j[None, :])
-        t2 = np.where(mask2, val_c * nlk, 0.0)
-        # third summand: p must equal k, and k must close (l, q)
-        nlq = value[pair_i, pair_k][None, :]
-        mask3 = (pair_j[None, :] == k_c) & (close[pair_i, pair_k][None, :] == k_c)
-        t3 = np.where(mask3, val_c * nlq, 0.0)
-        residual = t1 + t2 + t3
+        stop = start + chunk
+        residual = np.multiply.outer(pair_val[start:stop], pair_val)
+        for a, b, t in ((a2, b2, t2), (a3, b3, t3)):
+            lo, hi = np.searchsorted(a, (start, stop))
+            residual[a[lo:hi] - start, b[lo:hi]] += t[lo:hi]
         hit_rows, hit_cols = np.nonzero(np.abs(residual) > tol)
         first.append((start + hit_rows).astype(np.int32))
         second.append(hit_cols.astype(np.int32))

@@ -6,7 +6,8 @@ run          integrate a configured initial condition, write state CSVs,
              diagnostics, and a summary JSON
 verify       run the identity suite and/or the counterexample evaluation
 converge     tabulate the truncation error decay and fit its exponent
-jacobi-scan  exhaustively scan for generalized-Jacobi violations
+jacobi-scan  exhaustively scan for generalized-Jacobi violations, write them
+             and a summary JSON with the seconds per stage and peak RSS
 
 Exit codes: 0 success, 1 check failure, 2 usage or configuration error,
 3 runtime failure.  ``run`` accepts a negative ``dt`` (a reversed run) and
@@ -335,10 +336,24 @@ def cmd_jacobi_scan(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table = out / f"jacobi_violations_n{args.n}.csv"
+    started = time.perf_counter()
     save_violations(table, violations)
-    meta = {"command": "jacobi-scan", "n": args.n}
-    write_metadata(table, meta, 0)
-    p = report.params
+    written = time.perf_counter() - started
+    p = dict(report.params)
+    stage_s = {**p.pop("stage_s"), "csv_write": written}
+    summary = {
+        "params": p,
+        "passed": report.passed,
+        "max_residual": report.max_residual,
+        "tolerance": report.tolerance,
+        "runtime_s": report.runtime_s,
+        "stage_s": stage_s,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # KiB on Linux
+    }
+    summary_path = out / "scan_summary.json"
+    write_json(summary_path, summary)
+    for path in (table, summary_path):
+        write_metadata(path, {"command": "jacobi-scan", "n": args.n}, 0)
     print(
         f"n={args.n}: {p['violations_raw']} violating tuples "
         f"({p['violations_deduplicated']} after symmetry reduction)"
@@ -346,7 +361,7 @@ def cmd_jacobi_scan(args: argparse.Namespace) -> int:
     known = p["known_tuple_residual"]
     flag = "present" if known is not None else "MISSING"
     print(f"known counterexample tuple: {flag} (residual {known!r})")
-    print(f"wrote {table}")
+    print(f"wrote {table} and {summary_path}")
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 

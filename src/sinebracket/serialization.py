@@ -154,24 +154,34 @@ def save_violations(path, violations: ViolationTable) -> None:
     """Flat index-tuple rows; order follows the scan's enumeration.
 
     Each triple's text ``"c1,...,c6,"`` and each distinct residual's
-    ``repr`` are built once; rows are joined from them block by block.
+    ``repr`` (found by ``np.unique``, rows mapped to it by
+    ``searchsorted``) are built once.  Rows are written block by block; a
+    block builds the tail text (second triple, residual, newline) of each
+    pair that occurs in it, and writes each run of rows sharing a first
+    triple as one join, ``head + head.join(tails)``.
     """
     members = np.asarray(violations.members, dtype=np.int64)
     if members.ndim != 2 or members.shape[1] != 2:
         raise ValueError("the violation CSV holds wave-vector tuples, not plain basis labels")
     member_text = ["".join(f"{c}," for c in row) for row in members.tolist()]
-    prefix = np.array(
-        ["".join(member_text[c] for c in t) for t in violations.triples.tolist()], dtype=object
-    )
-    values, which = np.unique(violations.residual, return_inverse=True)
-    suffix = np.array([repr(x) + "\n" for x in values.tolist()], dtype=object)
-    first, second = violations.first, violations.second
+    prefix = ["".join(member_text[c] for c in t) for t in violations.triples.tolist()]
+    values = np.unique(violations.residual)
+    suffix = [repr(x) + "\n" for x in values.tolist()]
     with _open_write(path) as fh:
         _write_rows(fh, VIOLATIONS_HEADER, ())
         for start in range(0, len(violations), _VIOLATION_BLOCK):
             block = slice(start, start + _VIOLATION_BLOCK)
-            rows = prefix[first[block]] + prefix[second[block]] + suffix[which[block]]
-            fh.write("".join(rows.tolist()))
+            first = violations.first[block]
+            which = np.searchsorted(values, violations.residual[block])
+            codes = violations.second[block] * np.int64(len(suffix)) + which
+            # the block's distinct codes by a sort: np.unique hashes integers, which is slower
+            ordered = np.sort(codes)
+            distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+            tails = [prefix[c // len(suffix)] + suffix[c % len(suffix)] for c in distinct.tolist()]
+            rows = np.array(tails, dtype=object)[np.searchsorted(distinct, codes)].tolist()
+            cuts = [0, *(np.flatnonzero(first[1:] != first[:-1]) + 1).tolist(), len(rows)]
+            heads = [prefix[a] for a in first[cuts[:-1]].tolist()]
+            fh.write("".join([h + h.join(rows[lo:hi]) for h, lo, hi in zip(heads, cuts, cuts[1:])]))
 
 
 def load_generic_constants(path) -> np.ndarray:

@@ -479,14 +479,17 @@ def run_jacobi_scan(n: int) -> tuple[CheckReport, ViolationTable]:
     Enumerates every tuple whose delta factors close, deduplicates under
     the 12-element relabeling symmetry of the residual, and passes iff
     violations exist and the known six-index tuple is among them with
-    its closed-form residual value.
+    its closed-form residual value.  ``params["stage_s"]`` holds the
+    seconds of the scan and of the deduplication.
     """
     if n not in (5, 7):
         raise ValueError(f"exhaustive scan is sized for n in {{5, 7}}, got {n}")
     started = time.perf_counter()
     grid = build_grid(n)
     violations = scan_gen_jacobi(SineNambuTensor(grid))
+    scanned = time.perf_counter()
     deduped = dedupe_violations(violations)
+    stage_s = {"scan": scanned - started, "dedupe": time.perf_counter() - scanned}
     expected = gen_jacobi_residual_known(n)
     row = violations.find(KNOWN_JACOBI_VIOLATION)
     if row is None:
@@ -500,6 +503,7 @@ def run_jacobi_scan(n: int) -> tuple[CheckReport, ViolationTable]:
         "violations_deduplicated": len(deduped),
         "known_tuple_residual": measured,
         "known_tuple_expected": expected,
+        "stage_s": stage_s,
     }
     return _report("jacobi-scan", params, residual, 1e-12, started), violations
 

@@ -572,6 +572,11 @@ def test_dedupe_matches_per_tuple_oracle(scan5):
     assert list(dedupe_violations(su2)) == _reference_dedupe(su2)
     continuum = scan_gen_jacobi_continuum(1)
     assert list(dedupe_violations(continuum)) == _reference_dedupe(continuum)
+    # triples that need not close, so no slot is fixed by the others
+    rng = np.random.default_rng(0)
+    rows = rng.integers(0, 40, (2, 2000))
+    loose = ViolationTable(range(5), rng.integers(0, 5, (40, 3)), *rows, rng.normal(size=2000))
+    assert list(dedupe_violations(loose)) == _reference_dedupe(loose)
 
 
 def test_dedupe_packing_edge_and_overflow():
@@ -633,6 +638,57 @@ def test_scan_continuum_bound_two_counts():
     row = scan.find(KNOWN_JACOBI_VIOLATION)
     assert row is not None
     assert scan[row].residual == pytest.approx(COUNTEREXAMPLE_T1["continuum"], rel=1e-13)
+
+
+def _dense_scan_closing(members, value, close, pairs):
+    """Reference closing-triple kernel: all three summands as dense gathers and masks."""
+    pair_i, pair_j = np.nonzero(pairs)
+    pair_k = close[pair_i, pair_j]
+    pair_val = value[pair_i, pair_j]
+    n_pairs = len(pair_i)
+    tol = 1e-10 * float(np.max(np.abs(pair_val))) ** 2
+
+    first, second, residuals = [], [], []
+    chunk = max(1, 1_000_000 // n_pairs)
+    for start in range(0, n_pairs, chunk):
+        sl = slice(start, start + chunk)
+        k_c = pair_k[sl][:, None]
+        val_c = pair_val[sl][:, None]
+        t1 = val_c * pair_val[None, :]
+        # second summand: q must equal k, and p must close (l, k)
+        nlk = value[pair_i[None, :], k_c]
+        mask2 = (pair_k[None, :] == k_c) & (close[pair_i[None, :], k_c] == pair_j[None, :])
+        t2 = np.where(mask2, val_c * nlk, 0.0)
+        # third summand: p must equal k, and k must close (l, q)
+        nlq = value[pair_i, pair_k][None, :]
+        mask3 = (pair_j[None, :] == k_c) & (close[pair_i, pair_k][None, :] == k_c)
+        t3 = np.where(mask3, val_c * nlq, 0.0)
+        residual = t1 + t2 + t3
+        hit_rows, hit_cols = np.nonzero(np.abs(residual) > tol)
+        first.append((start + hit_rows).astype(np.int32))
+        second.append(hit_cols.astype(np.int32))
+        residuals.append(residual[hit_rows, hit_cols])
+
+    return ViolationTable(
+        members,
+        np.stack([pair_i, pair_j, pair_k], axis=1),
+        np.concatenate(first),
+        np.concatenate(second),
+        np.concatenate(residuals),
+    )
+
+
+def test_scan_kernel_matches_the_dense_oracle_bitwise(scan5, monkeypatch):
+    # the sparse second and third summands give the same hits, in the same
+    # order, with bitwise-equal residuals
+    scans = [scan5, scan_gen_jacobi_continuum(2)]
+    monkeypatch.setattr(sine_algebra, "_scan_closing", _dense_scan_closing)
+    oracles = [scan_gen_jacobi(SineNambuTensor(build_grid(5))), scan_gen_jacobi_continuum(2)]
+    for scan, oracle in zip(scans, oracles):
+        assert np.array_equal(scan.triples, oracle.triples)
+        assert np.array_equal(scan.first, oracle.first)
+        assert np.array_equal(scan.second, oracle.second)
+        assert scan.residual.tobytes() == oracle.residual.tobytes()
 
 
 def test_scan_zero_tensor_is_empty():

@@ -104,6 +104,7 @@ def test_every_measured_span_fires_on_its_workloads(tmp_path):
         ("run-rk4-n161", _run_config(tmp_path, "rk4")),
         ("run-midpoint-n21", _run_config(tmp_path, "midpoint", scheme="implicit_midpoint")),
         ("verify-n15", ["verify", "--n", "5", "--all", "--out", str(tmp_path / "verify.json")]),
+        ("jacobi-scan-n5", ["jacobi-scan", "--n", "5", "--out", str(tmp_path / "scan")]),
     ]
     tracer = spans.Tracer(sinebracket)
     tracer.install(spans.MEASURED_SPANS)

@@ -664,6 +664,22 @@ def test_jacobi_scan_writes_violations(tmp_path, capsys):
     assert hashlib.sha256(data).hexdigest() == (
         "771c4ae77985be9b7d861b85be36cfb00e69b8c07948a3fde24ff600804396f0"
     )
+    summary = json.loads((tmp_path / "scan_summary.json").read_text(encoding="utf-8"))
+    assert (tmp_path / "scan_summary.json.meta.json").exists()
+    assert set(summary) == {
+        "params", "passed", "max_residual", "tolerance", "runtime_s", "stage_s", "peak_rss_mb",
+    }
+    params = summary["params"]
+    assert set(params) == {
+        "n", "violations_raw", "violations_deduplicated", "known_tuple_residual",
+        "known_tuple_expected",
+    }
+    assert (params["violations_raw"], params["violations_deduplicated"]) == (211200, 52800)
+    assert summary["passed"] is True and summary["max_residual"] <= summary["tolerance"]
+    assert set(summary["stage_s"]) == {"scan", "dedupe", "csv_write"}
+    assert all(seconds > 0 for seconds in summary["stage_s"].values())
+    assert summary["runtime_s"] >= summary["stage_s"]["scan"] + summary["stage_s"]["dedupe"]
+    assert summary["peak_rss_mb"] > 0
 
 
 def test_jacobi_scan_rejects_large_n(tmp_path, capsys):

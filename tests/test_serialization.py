@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 import sinebracket
-from sinebracket.algebra import DenseNambuTensor, SineNambuTensor, scan_gen_jacobi
+from sinebracket.algebra import (
+    DenseNambuTensor,
+    SineNambuTensor,
+    scan_gen_jacobi,
+    scan_gen_jacobi_continuum,
+)
 from sinebracket.dynamics import DiagnosticsRecord, random_shell_field
 from sinebracket.errors import ValidationError
 from sinebracket.verify import CheckReport
@@ -156,6 +161,28 @@ def test_violations_csv_layout(tmp_path):
     dense = scan_gen_jacobi(DenseNambuTensor(np.zeros((2, 2, 2))))
     with pytest.raises(ValueError):
         save_violations(path, dense)
+
+
+def _reference_violations_csv(violations) -> bytes:
+    """The violation CSV written row by row from ``repr`` of each member and residual."""
+    lines = ["i1,i2,j1,j2,k1,k2,l1,l2,p1,p2,q1,q2,residual\n"]
+    for v in violations:
+        cells = [repr(int(c)) for member in v.indices for c in member] + [repr(v.residual)]
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+def test_violations_csv_matches_a_per_row_writer(tmp_path):
+    # the empty table writes the header only; an unsorted sub-table with a
+    # repeated first triple splits into short runs; the continuum table
+    # spans several write blocks and many distinct residuals
+    scan5 = scan_gen_jacobi(SineNambuTensor(build_grid(5)))
+    tables = [scan5[:0], scan5[np.array([7, 3, 3, 0])], scan_gen_jacobi_continuum(2)]
+    for number, violations in enumerate(tables):
+        path = tmp_path / f"violations{number}.csv"
+        save_violations(path, violations)
+        assert path.read_bytes() == _reference_violations_csv(violations), number
+    assert path.read_bytes().count(b"\n") == 236128 + 1
 
 
 def test_load_generic_constants_sparse_to_dense(tmp_path):

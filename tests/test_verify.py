@@ -416,6 +416,7 @@ def test_jacobi_scan_report():
     assert report.passed
     assert report.params["violations_raw"] == len(violations) == 211200
     assert report.params["violations_deduplicated"] == 52800
+    assert set(report.params["stage_s"]) == {"scan", "dedupe"}
     assert report.params["known_tuple_residual"] == pytest.approx(
         gen_jacobi_residual_known(5), rel=1e-13
     )

@@ -18,7 +18,6 @@ from .grid import (
     energy,
     enstrophy,
     from_physical,
-    stream_function,
     to_physical,
     validate_reality,
 )
@@ -70,8 +69,6 @@ from .dynamics import (
     rhs_from_lie_poisson,
     rhs_naive,
     rhs_nambu,
-    shell_energies,
-    single_pair_field,
     step,
 )
 from .verify import (

@@ -35,18 +35,17 @@ and output indices through the symplectic phase sin((2pi/n) i x k), which
 cannot be absorbed into index translations, so no plain convolution (FFT)
 evaluation exists; the commutator is the fastest exact form here.
 
-Time stepping offers classical RK4 and the implicit midpoint rule; the
-latter conserves every quadratic invariant (energy, enstrophy) up to the
-tolerance of its fixed-point solve.  Both work in per-n scratch matrices,
-so a step allocates only the matrix of the state it returns.
-:func:`step` on its own starts the midpoint solve from the explicit-Euler
-guess W + dt f(W).  :func:`integrate` keeps up to nine accepted states of
-its run and starts each solve from their polynomial extrapolation instead
-(Hairer, Lubich & Wanner, *Geometric Numerical Integration*, VIII.6), which
-costs no rhs call and lands within about one contraction sweep of the
-solution at small dt.  The guess moves the result only within the solver
-tolerance, and reruns stay bitwise identical.  :func:`integrate` also
-counts the rhs calls of the run and stops at the first non-finite state.
+A step is a scheme map, looked up by name in ``_SCHEMES``: classical RK4,
+or the implicit midpoint rule, which conserves every quadratic invariant
+(energy, enstrophy) up to the tolerance of its fixed-point solve, the
+shared :func:`_solve`.  Both work in per-n scratch matrices, so a step
+allocates only the matrix it returns.  :func:`step` on its own starts the
+midpoint solve from the explicit-Euler guess W + dt f(W); :func:`integrate`
+starts it from the polynomial extrapolation of up to nine accepted states
+of its run (Hairer, Lubich & Wanner, *Geometric Numerical Integration*,
+VIII.6), which costs no rhs call and lands within about one sweep of the
+solution at small dt.  :func:`integrate` also counts the rhs calls of the
+run and stops at the first non-finite state.
 
 :func:`step` maps a matrix to a matrix and knows no time;
 :func:`integrate` maps a field to a field and keeps the time.
@@ -70,7 +69,6 @@ from .grid import (
     ModeField,
     TruncationGrid,
     _quadratic_sum,
-    _quadratic_terms,
     _wrapped,
     build_grid,
     energy,  # noqa: F401  (perfbench/spans.py traces the diagnostics under these names)
@@ -356,8 +354,82 @@ def rhs_fast(grid: TruncationGrid, w: np.ndarray, out: np.ndarray | None = None)
 # time stepping
 # ---------------------------------------------------------------------------
 
-_MIDPOINT_TOL = 1e-13  # a midpoint sweep moving W by <= this * max(1, max |W|) ends the solve
+_MIDPOINT_TOL = 1e-13  # a sweep moving W by <= this * max(1, max |W|) ends the solve
 _MIDPOINT_MAX_ITER = 50  # sweeps before the solve raises StepConvergenceError
+
+
+def _axpy(out: np.ndarray, a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """out = y + a x, in place."""
+    np.multiply(x, a, out=out)
+    out += y
+    return out
+
+
+def _rk4(grid: TruncationGrid, w: np.ndarray, dt: float, rhs: RhsFunction, guess) -> np.ndarray:
+    """Classical RK4; ``guess`` is ignored."""
+    ws = _workspace(grid.n)
+    # k1 .. k4 land in turn in ``slope``; the next stage is built from k
+    # before k is weighted into total = k1 + 2 k2 + 2 k3 + k4 (that order).
+    ws.total.fill(0.0)
+    x = w
+    for weight, reach in ((1.0, 0.5), (2.0, 0.5), (2.0, 1.0), (1.0, None)):
+        k = rhs(grid, x, out=ws.slope)
+        if reach is not None:
+            x = _axpy(ws.stage, reach * dt, k, w)
+        k *= weight
+        ws.total += k
+    ws.total *= dt / 6.0
+    return ws.total + w
+
+
+def _solve(sweep: Callable, start: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Fixed point of ``sweep(current, out)``, iterated in ``start`` and ``ws.stage`` by turns.
+
+    A sweep writes its image of ``current`` into ``out`` (scratch: ``ws.slope``).  The solve
+    ends at a sweep moving no entry by more than ``_MIDPOINT_TOL * max(1, max |start|)``.  A
+    non-finite update raises :class:`ConsistencyError` at once, and ``_MIDPOINT_MAX_ITER``
+    sweeps without convergence raise :class:`StepConvergenceError` with the last update and
+    its ratio to the one before, the contraction estimate.
+    """
+    current, trial = start, ws.stage
+    scale = max(1.0, float(np.abs(current, out=ws.magnitude).max()))
+    delta = math.nan
+    for _ in range(_MIDPOINT_MAX_ITER):
+        improved = sweep(current, trial)
+        update = np.subtract(improved, current, out=ws.slope)
+        previous, delta = delta, float(np.abs(update, out=ws.magnitude).max())
+        if not math.isfinite(delta):
+            raise ConsistencyError("implicit midpoint update is non-finite")
+        current, trial = improved, current
+        if delta <= _MIDPOINT_TOL * scale:
+            return current
+    raise StepConvergenceError(
+        f"implicit midpoint did not converge in {_MIDPOINT_MAX_ITER} "
+        f"iterations (last update {delta:.3e}, "
+        f"contraction estimate {delta / previous:.3g})"
+    )
+
+
+def _implicit_midpoint(grid: TruncationGrid, w: np.ndarray, dt: float, rhs: RhsFunction, guess):
+    """W~ = W + dt f((W + W~)/2) by :func:`_solve` from ``guess``, or else from W + dt f(W).
+
+    ``rhs`` must be quadratic: a sweep takes f(W + W~)/4 for f((W + W~)/2), bitwise the same.
+    """
+    ws = _workspace(grid.n)
+    if guess is None:
+        _axpy(ws.total, dt, rhs(grid, w, out=ws.slope), w)
+    else:
+        np.copyto(ws.total, guess)
+
+    def sweep(current: np.ndarray, out: np.ndarray) -> np.ndarray:
+        k = rhs(grid, np.add(w, current, out=out), out=ws.slope)  # 4 f(midpoint)
+        return _axpy(out, 0.25 * dt, k, w)  # W + W~ is spent
+
+    return _solve(sweep, ws.total, ws).copy()
+
+
+# scheme name -> map(grid, w, dt, rhs, guess) of W to the next W; the one list of the names
+_SCHEMES = {"rk4": _rk4, "implicit_midpoint": _implicit_midpoint}
 
 
 @dataclass(frozen=True)
@@ -370,7 +442,7 @@ class IntegratorConfig:
     record_every: int = 10
 
     def __post_init__(self) -> None:
-        if self.scheme not in ("rk4", "implicit_midpoint"):
+        if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         for name in ("steps", "record_every"):  # refuse bools and fractions, store as int
             value = getattr(self, name)
@@ -409,13 +481,6 @@ class RhsCounts:
         return self.calls / self.steps if self.steps else 0.0
 
 
-def _axpy(out: np.ndarray, a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """out = y + a x, in place."""
-    np.multiply(x, a, out=out)
-    out += y
-    return out
-
-
 def step(
     w: np.ndarray,
     config: IntegratorConfig,
@@ -424,63 +489,14 @@ def step(
 ) -> np.ndarray:
     """The Hermitian vorticity matrix W advanced by one step of ``config.dt``.
 
-    ``w`` is left untouched and must be square with odd n >= 3, else
-    :class:`ValueError`.  RK4 stages and midpoint sweeps run in the per-n
-    workspace; the only array allocated is the returned matrix.  ``rhs``
-    writes each tendency into the ``out`` it is given and must be quadratic
-    in W: a sweep takes f(W + W~)/4 for f((W + W~)/2), bitwise the same.
-    ``guess`` (a matrix) starts the implicit midpoint solve in place of the
-    explicit-Euler guess (RK4 ignores it).  A non-finite solver update
-    raises :class:`ConsistencyError` at once.
+    ``w`` is left untouched and must be square with odd n >= 3, else :class:`ValueError`.
+    The step is the map ``_SCHEMES[config.scheme]``.  ``rhs`` writes each tendency into the
+    ``out`` it is given; ``guess`` starts a midpoint solve in place of the Euler guess.
     """
     shape = np.shape(w)
     if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 3 or shape[0] % 2 == 0:
         raise ValueError(f"vorticity matrix must be square with odd n >= 3, got shape {shape}")
-    grid = build_grid(len(w))
-    dt = config.dt
-    ws = _workspace(grid.n)
-    stage, slope, total = ws.stage, ws.slope, ws.total
-
-    if config.scheme == "rk4":
-        # k1 .. k4 land in turn in ``slope``; the next stage is built from k
-        # before k is weighted into total = k1 + 2 k2 + 2 k3 + k4 (that order).
-        total.fill(0.0)
-        x = w
-        for weight, reach in ((1.0, 0.5), (2.0, 0.5), (2.0, 1.0), (1.0, None)):
-            k = rhs(grid, x, out=slope)
-            if reach is not None:
-                x = _axpy(stage, reach * dt, k, w)
-            k *= weight
-            total += k
-        total *= dt / 6.0
-        advanced = total + w
-    else:  # implicit midpoint by fixed-point iteration
-        current, trial = total, stage
-        if guess is None:
-            _axpy(current, dt, rhs(grid, w, out=slope), w)
-        else:
-            np.copyto(current, guess)
-        scale = max(1.0, float(np.abs(current, out=ws.magnitude).max()))
-        delta = math.nan
-        for _ in range(_MIDPOINT_MAX_ITER):
-            k = rhs(grid, np.add(w, current, out=trial), out=slope)  # 4 f(midpoint)
-            improved = _axpy(trial, 0.25 * dt, k, w)  # W + W~ is spent
-            update = np.subtract(improved, current, out=slope)
-            previous, delta = delta, float(np.abs(update, out=ws.magnitude).max())
-            if not math.isfinite(delta):
-                raise ConsistencyError("implicit midpoint update is non-finite")
-            current, trial = improved, current
-            if delta <= _MIDPOINT_TOL * scale:
-                break
-        else:
-            raise StepConvergenceError(
-                f"implicit midpoint did not converge in {_MIDPOINT_MAX_ITER} "
-                f"iterations (last update {delta:.3e}, "
-                f"contraction estimate {delta / previous:.3g})"
-            )
-        advanced = current.copy()
-
-    return advanced
+    return _SCHEMES[config.scheme](build_grid(len(w)), w, config.dt, rhs, guess)
 
 
 # Highest order of the extrapolated midpoint guess, and its weights for
@@ -541,7 +557,7 @@ def integrate(
         counts.calls += 1
         return rhs(grid, w, out=out)
 
-    implicit = config.scheme == "implicit_midpoint"
+    implicit = _SCHEMES[config.scheme] is _implicit_midpoint  # the one scheme that takes a guess
     # Accepted states of this run in a ring: step s writes slot s mod
     # len(history), so slot i holds the state (s - 1 - i) mod len(history)
     # steps older than the newest when step s starts.  Only the ``kept``
@@ -614,20 +630,3 @@ def random_shell_field(
         out.coeffs[idx] = coeff
         out.coeffs[mirror] = np.conj(coeff)
     return out
-
-
-def single_pair_field(grid: TruncationGrid, v, amplitude: complex = 1.0) -> ModeField:
-    """One conjugate pair: zeta_hat(v) = amplitude, zeta_hat(-v) = conj.
-
-    A steady state of the truncated flow: every interacting partner of a
-    mode and its mirror has vanishing sine factor.
-    """
-    return ModeField.from_modes(grid, {v: amplitude})
-
-
-def shell_energies(field: ModeField) -> dict[int, float]:
-    """Energy per squared wave number |k|^2; diagnostic helper."""
-    norms2 = field.grid.norms2
-    shells, which = np.unique(norms2, return_inverse=True)
-    terms = _quadratic_terms(field, 1.0 / norms2).real
-    return dict(zip(shells.tolist(), (0.5 * TWO_PI**2 * np.bincount(which, terms)).tolist()))

@@ -285,11 +285,6 @@ def enstrophy(field: ModeField) -> float:
     return _invariants(field)[1]
 
 
-def stream_function(field: ModeField) -> ModeField:
-    """Stream function modes psi_hat(k) = -zeta_hat(k)/|k|^2 (mean-free gauge)."""
-    return ModeField(field.grid, -field.coeffs / field.grid.norms2)
-
-
 @functools.lru_cache(maxsize=16)
 def _wrap_index(n: int, size: int) -> np.ndarray:
     """Flat position of each retained k of truncation n in a (size, size)

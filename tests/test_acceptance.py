@@ -33,10 +33,9 @@ from sinebracket.dynamics import (
     rhs_from_lie_poisson,
     rhs_naive,
     rhs_nambu,
-    single_pair_field,
 )
 from sinebracket.functionals import random_real_polynomial
-from sinebracket.grid import build_grid, enstrophy
+from sinebracket.grid import ModeField, build_grid, enstrophy
 from sinebracket.verify import (
     gen_jacobi_residual_known,
     run_convergence_study,
@@ -225,7 +224,7 @@ def test_criterion_9_single_pair_steady_state():
     ok = True
     for n, pair, amp in ((7, (1, 2), 0.8 - 0.3j), (11, (2, -1), 1.0 + 0.5j)):
         grid = build_grid(n)
-        field = single_pair_field(grid, pair, amp)
+        field = ModeField.from_modes(grid, {pair: amp})
         final, _ = integrate(field, IntegratorConfig(dt=1e-3, steps=1000, record_every=500))
         deviation = np.max(np.abs(final.coeffs - field.coeffs))
         ok &= deviation <= 1e-13 * np.max(np.abs(field.coeffs))

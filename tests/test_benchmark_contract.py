@@ -45,6 +45,14 @@ def test_stepping_defaults_to_rhs_fast():
         assert inspect.signature(fn).parameters["rhs"].default is dynamics.rhs_fast
 
 
+def test_scheme_maps_take_rhs_from_step():
+    # The tracer rewrites the rhs default of step() and integrate() only; a
+    # scheme map with a default of its own would bypass the rhs_fast span.
+    for scheme, fn in dynamics._SCHEMES.items():
+        rhs = inspect.signature(fn).parameters["rhs"]
+        assert rhs.default is inspect.Parameter.empty, scheme
+
+
 def _count_traced_layers(monkeypatch, call):
     calls = {"_wrapped": 0, "_to_weyl_matrix": 0, "_from_weyl_matrix": 0}
     for name in calls:

@@ -492,6 +492,15 @@ def test_verify_unknown_check_is_usage_error(tmp_path, capsys):
     assert "unknown check" in capsys.readouterr().err
 
 
+def test_verify_above_the_suite_cap_is_usage_error(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert main(["verify", "--n", "17", "--all", "--out", str(report)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "identity suite is capped at n = 15" in captured.err
+    assert "passed" not in captured.out + captured.err
+    assert not report.exists()
+
+
 # the residual helper of each identity check, in suite order
 CHECK_HELPERS = {
     "alpha-antisymmetry": "_table_antisymmetry_residual",

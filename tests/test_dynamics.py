@@ -28,8 +28,6 @@ from sinebracket.dynamics import (
     rhs_from_lie_poisson,
     rhs_naive,
     rhs_nambu,
-    shell_energies,
-    single_pair_field,
     step,
 )
 from sinebracket.errors import ConsistencyError, StepConvergenceError, ValidationError
@@ -37,6 +35,7 @@ from sinebracket.functionals import coordinate_functional
 from sinebracket.grid import (
     ModeField,
     _invariants,
+    _quadratic_terms,
     _wrapped,
     build_grid,
     energy,
@@ -46,6 +45,22 @@ from sinebracket.grid import (
 
 TWO_PI = 2.0 * math.pi
 
+
+def single_pair_field(grid, v, amplitude=1.0):
+    """One conjugate pair: zeta_hat(v) = amplitude, zeta_hat(-v) = conj.
+
+    A steady state of the truncated flow: every interacting partner of a
+    mode and its mirror has vanishing sine factor.
+    """
+    return ModeField.from_modes(grid, {v: amplitude})
+
+
+def shell_energies(field):
+    """Energy per squared wave number |k|^2."""
+    norms2 = field.grid.norms2
+    shells, which = np.unique(norms2, return_inverse=True)
+    terms = _quadratic_terms(field, 1.0 / norms2).real
+    return dict(zip(shells.tolist(), (0.5 * TWO_PI**2 * np.bincount(which, terms)).tolist()))
 
 
 def _rhs_fast_modes(grid, field):
@@ -636,6 +651,75 @@ def test_step_convergence_error_names_the_contraction_estimate():
     assert 0.3 < float(found.group(1)) < 1.0
 
 
+def _linear_sweep(c, calls):
+    """The toy sweep out = c * current, counting its calls in ``calls``."""
+
+    def sweep(current, out):
+        calls.append(c)
+        return np.multiply(current, c, out=out)
+
+    return sweep
+
+
+def _solve_from_ones(sweep, n=5):
+    return dynamics._solve(sweep, np.ones((n, n), dtype=np.complex128), dynamics._workspace(n))
+
+
+def test_solve_converges_on_a_contraction_inside_the_cap():
+    # the update after sweep k is 0.5^k, which first reaches 1e-13 at k = 44
+    calls = []
+    fixed = _solve_from_ones(_linear_sweep(0.5, calls))
+    assert len(calls) == 44 < _MIDPOINT_MAX_ITER
+    assert np.all(fixed == 0.5**44)
+
+
+def test_solve_stall_reports_the_contraction_of_the_sweep():
+    with pytest.raises(StepConvergenceError) as excinfo:
+        _solve_from_ones(_linear_sweep(0.9, []))
+    message = str(excinfo.value)
+    assert f"did not converge in {_MIDPOINT_MAX_ITER} iterations" in message
+    assert "contraction estimate 0.9)" in message
+
+
+def test_solve_nonfinite_sweep_raises_after_one_sweep():
+    calls = []
+    with pytest.raises(ConsistencyError, match="non-finite"):
+        _solve_from_ones(_linear_sweep(np.nan, calls))
+    assert len(calls) == 1
+
+
+def _higher_casimir_drifts(scheme):
+    """Relative drifts of tr(W^2), tr(W^3), tr(W^4) over 300 steps of dt = 1e-2 at n = 21."""
+    field = random_shell_field(build_grid(21), seed=6, shell_min=1.0, shell_max=4.0, amplitude=6.0)
+    config = IntegratorConfig(scheme=scheme, dt=1e-2, steps=300)
+    w0 = w = lift(field)
+    for _ in range(config.steps):
+        w = step(w, config)
+
+    def traces(x):
+        x2 = x @ x
+        return np.array([np.trace(x2), np.trace(x2 @ x), np.trace(x2 @ x2)]).real
+
+    before, after = traces(w0), traces(w)
+    assert np.all(np.abs(before) > 1.0)  # so the relative drifts are well defined
+    return np.abs(after - before) / np.abs(before)
+
+
+def test_midpoint_keeps_tr_w2_but_not_the_higher_casimirs():
+    # The midpoint rule conserves the quadratic Casimir to the solver
+    # tolerance (3.0e-14 measured) but is not isospectral: tr(W^3) and
+    # tr(W^4) drift 8.8e-4 and 8.0e-4, so a spectrum diagnostic reads
+    # nonzero on it.
+    quadratic, cubic, quartic = _higher_casimir_drifts("implicit_midpoint")
+    assert quadratic <= 1e-12
+    assert cubic >= 1e-5 and quartic >= 1e-5
+
+
+def test_rk4_drifts_every_casimir():
+    # measured 1.1e-4, 1.0e-4 and 1.4e-4
+    assert np.all(_higher_casimir_drifts("rk4") >= 1e-5)
+
+
 def test_integrate_rejects_nonreal_spectrum():
     grid = build_grid(5)
     coeffs = np.zeros(grid.size, dtype=np.complex128)
@@ -740,6 +824,24 @@ def test_rk4_step_allocates_little_beyond_the_new_state():
     finally:
         tracemalloc.stop()
     assert advanced.shape == (n, n)
+    assert peak <= 2 * n * n * 16
+
+
+def test_midpoint_step_allocates_little_beyond_the_new_state():
+    # The Euler guess and every sweep of the solve work in the workspace,
+    # so a step of many sweeps allocates no more than one of RK4.
+    n = 81
+    field, config = _midpoint_case(seed=1, dt=2e-3, steps=2, n=n)
+    w = step(lift(field), config)
+    counting = _CountingRhs()
+    tracemalloc.start()
+    try:
+        advanced = step(w, config, counting)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert advanced.shape == (n, n)
+    assert counting.calls >= 5  # the Euler guess and several sweeps
     assert peak <= 2 * n * n * 16
 
 

@@ -14,12 +14,16 @@ from sinebracket.grid import (
     energy,
     enstrophy,
     from_physical,
-    stream_function,
     to_physical,
     validate_reality,
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def stream_function(field: ModeField) -> ModeField:
+    """Stream function modes psi_hat(k) = -zeta_hat(k)/|k|^2 (mean-free gauge)."""
+    return ModeField(field.grid, -field.coeffs / field.grid.norms2)
 
 
 def test_grid_counts_and_ordering():

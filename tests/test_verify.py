@@ -191,6 +191,11 @@ def test_identity_suite_rejects_bad_n():
             run_identity_suite(bad)
 
 
+def test_identity_suite_cap_is_n_15():
+    with pytest.raises(ValueError, match="identity suite is capped at n = 15"):
+        run_identity_suite(17)
+
+
 def test_fault_injection_is_caught(monkeypatch):
     # One sine entry with its sign flipped, seen by every check that reads
     # the pair tables of the algebra or of the suite itself.

@@ -18,7 +18,6 @@ from .grid import (
     energy,
     enstrophy,
     from_physical,
-    to_physical,
     validate_reality,
 )
 from .functionals import (
@@ -32,7 +31,6 @@ from .algebra import (
     DenseKillingForm,
     DenseNambuTensor,
     GenericAlgebra,
-    GenericConstants,
     JacobiViolation,
     KNOWN_JACOBI_VIOLATION,
     SineNambuTensor,
@@ -48,7 +46,6 @@ from .algebra import (
     killing_closed,
     lie_poisson_bracket,
     nambu_bracket,
-    orthogonality_check,
     quadratic_casimir,
     scan_gen_jacobi,
     scan_gen_jacobi_continuum,

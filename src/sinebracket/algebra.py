@@ -208,28 +208,6 @@ def alpha_zeitlin_dense(grid: TruncationGrid) -> np.ndarray:
     return out
 
 
-class GenericConstants:
-    """Dense constants of a finite-dimensional algebra given as an array.
-
-    Antisymmetry in the lower index pair is validated on construction.
-    """
-
-    def __init__(self, alpha: np.ndarray):
-        alpha = np.asarray(alpha, dtype=np.float64)
-        if alpha.ndim != 3 or len(set(alpha.shape)) != 1:
-            raise ValueError(f"structure constants must be a cubic array, got shape {alpha.shape}")
-        if alpha.shape[0] > GENERIC_DIMENSION_CAP:
-            raise ValueError(
-                f"dimension {alpha.shape[0]} exceeds the generic cap {GENERIC_DIMENSION_CAP}"
-            )
-        residual = dense_antisymmetry_residual(alpha)
-        if residual > 1e-12:
-            raise ValidationError(
-                f"structure constants are not antisymmetric: relative residual {residual:.3e}"
-            )
-        self.alpha = alpha
-
-
 def dense_antisymmetry_residual(alpha: np.ndarray) -> float:
     """max |alpha_ij^k + alpha_ji^k| relative to the tensor scale."""
     scale = np.max(np.abs(alpha))
@@ -278,11 +256,6 @@ def killing_bruteforce(grid: TruncationGrid) -> np.ndarray:
     return np.bincount(a * grid.size + b, weights=terms, minlength=w.size).reshape(w.shape)
 
 
-def dense_killing_matrix(alpha: np.ndarray) -> np.ndarray:
-    """K_ij = sum_{k,l} alpha_ik^l alpha_jl^k of a dense (not validated) tensor."""
-    return np.einsum("ikl,jlk->ij", alpha, alpha)
-
-
 def killing_closed(grid: TruncationGrid) -> np.ndarray:
     """Closed-form (N, N) Killing matrix of the truncation: K_ij = c_n delta_{(i+j)|n,0}."""
     out = np.zeros((grid.size, grid.size))
@@ -304,24 +277,6 @@ def _orthogonality_sum(
     totals = np.sum(cosine_table(grid.n)[dots], axis=1)
     wraps_to_zero = np.all(witnesses % grid.n == 0, axis=1)
     return totals, np.where(wraps_to_zero, float(grid.n**2 - 1), -1.0)
-
-
-def orthogonality_check(grid: TruncationGrid, l) -> float:
-    """sum_k cos((2pi/n) k.l) over the retained set, checked exactly.
-
-    Equals n^2 - 1 when l wraps to the origin modulo n and -1 otherwise;
-    this discrete orthogonality is what collapses the Killing double sum.
-    An absolute deviation beyond 1e-11, or a NaN sum, raises
-    :class:`ConsistencyError`.
-    """
-    l = _as_wave_vector(l)
-    totals, expected = _orthogonality_sum(grid, np.array([[l.i1, l.i2]]))
-    total, expected = float(totals[0]), float(expected[0])
-    if not abs(total - expected) <= 1e-11:
-        raise ConsistencyError(
-            f"mode orthogonality violated at l={tuple(l)}: sum {total!r}, expected {expected!r}"
-        )
-    return total
 
 
 class DenseKillingForm:
@@ -438,7 +393,7 @@ _AnyNambuTensor = SineNambuTensor | ContinuumNambuTensor | DenseNambuTensor
 class GenericAlgebra:
     """Killing data and Nambu tensor derived from dense structure constants."""
 
-    constants: GenericConstants
+    alpha: np.ndarray
     killing: DenseKillingForm
     nambu: DenseNambuTensor
     scaling: float
@@ -452,24 +407,37 @@ class GenericAlgebra:
 def construct_generic(alpha: np.ndarray, scaling: float = 1.0) -> GenericAlgebra:
     """Run the algebraic pipeline on dense constants of a finite algebra.
 
-    Validates antisymmetry and the Jacobi identity, computes the Killing
-    matrix by double contraction, inverts it (a singular pairing means the
-    algebra is not semi-simple and is refused), and lowers the upper index
-    to produce the Nambu tensor N = alpha.K / scaling.  The scaling is a
-    free normalisation for a generic algebra; the truncated vorticity
-    algebra fixes it by matching the Casimir to the enstrophy.
+    Validates the cubic shape, the dimension cap, antisymmetry in the lower
+    index pair and the Jacobi identity, computes the Killing matrix
+    K_ij = sum_{k,l} alpha_ik^l alpha_jl^k by double contraction, inverts
+    it (a singular pairing means the algebra is not semi-simple and is
+    refused), and lowers the upper index to produce the Nambu tensor
+    N = alpha.K / scaling.  The scaling is a free normalisation for a
+    generic algebra; the truncated vorticity algebra fixes it by matching
+    the Casimir to the enstrophy.
     """
-    constants = GenericConstants(alpha)
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.ndim != 3 or len(set(alpha.shape)) != 1:
+        raise ValueError(f"structure constants must be a cubic array, got shape {alpha.shape}")
+    if alpha.shape[0] > GENERIC_DIMENSION_CAP:
+        raise ValueError(
+            f"dimension {alpha.shape[0]} exceeds the generic cap {GENERIC_DIMENSION_CAP}"
+        )
+    residual = dense_antisymmetry_residual(alpha)
+    if residual > 1e-12:
+        raise ValidationError(
+            f"structure constants are not antisymmetric: relative residual {residual:.3e}"
+        )
     if scaling == 0.0:
         raise ValueError("scaling must be nonzero")
-    jacobi = dense_jacobi_residual(constants.alpha)
+    jacobi = dense_jacobi_residual(alpha)
     if jacobi > 1e-12:
         raise ValidationError(
             f"structure constants violate the Jacobi identity: relative residual {jacobi:.3e}"
         )
-    killing = DenseKillingForm(dense_killing_matrix(constants.alpha))
-    nambu = DenseNambuTensor(np.einsum("ijl,lk->ijk", constants.alpha, killing.matrix) / scaling)
-    return GenericAlgebra(constants=constants, killing=killing, nambu=nambu, scaling=scaling)
+    killing = DenseKillingForm(np.einsum("ikl,jlk->ij", alpha, alpha))
+    nambu = DenseNambuTensor(np.einsum("ijl,lk->ijk", alpha, killing.matrix) / scaling)
+    return GenericAlgebra(alpha=alpha, killing=killing, nambu=nambu, scaling=scaling)
 
 
 # ---------------------------------------------------------------------------

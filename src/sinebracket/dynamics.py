@@ -287,7 +287,7 @@ def lift(field: ModeField) -> np.ndarray:
     grid = field.grid
     n, m = grid.n, grid.half
     z = field.coeffs
-    wrapped = _wrapped(ModeField(grid, 0.5j * (z + np.conj(z[grid.neg_index]))), n)
+    wrapped = _wrapped(ModeField(grid, 0.5j * (z + np.conj(z[grid.neg_index]))))
     table = np.empty((n, n), dtype=np.complex128)
     np.multiply(wrapped[:, : m + 1].T, _weyl_tables(n).phase, out=table[: m + 1])
     w = _to_weyl_matrix(n, table, np.empty((n, n), dtype=np.complex128))
@@ -617,16 +617,12 @@ def random_shell_field(
     magnitude amplitude/|k|^2 and a unit-modulus phase drawn from a
     generator seeded with ``seed``; deterministic in canonical order.
     """
-    rng = np.random.default_rng(seed)
+    k2, neg = grid.norms2, grid.neg_index
+    # the canonical half of each pair in the shell, in canonical order
+    half = np.flatnonzero((neg > np.arange(grid.size)) & (shell_min <= k2) & (k2 <= shell_max))
+    u = np.random.default_rng(seed).random(len(half))
+    coeff = (amplitude / k2[half]) * np.exp(2j * np.pi * u)
     out = ModeField.zeros(grid)
-    for idx in range(grid.size):
-        mirror = int(grid.neg_index[idx])
-        if mirror < idx:
-            continue
-        k2 = float(grid.norms2[idx])
-        if not shell_min <= k2 <= shell_max:
-            continue
-        coeff = (amplitude / k2) * np.exp(2j * np.pi * rng.random())
-        out.coeffs[idx] = coeff
-        out.coeffs[mirror] = np.conj(coeff)
+    out.coeffs[half] = coeff
+    out.coeffs[neg[half]] = np.conj(coeff)
     return out

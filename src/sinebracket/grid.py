@@ -286,38 +286,20 @@ def enstrophy(field: ModeField) -> float:
 
 
 @functools.lru_cache(maxsize=16)
-def _wrap_index(n: int, size: int) -> np.ndarray:
-    """Flat position of each retained k of truncation n in a (size, size)
-    array indexed by k mod size."""
+def _wrap_index(n: int) -> np.ndarray:
+    """Flat position of each retained k in an (n, n) array indexed by k mod n."""
     v = _grid_tables(n).vectors
-    index = (v[:, 0] % size) * size + v[:, 1] % size
+    index = (v[:, 0] % n) * n + v[:, 1] % n
     index.setflags(write=False)
     return index
 
 
-def _wrapped(field: ModeField, size: int) -> np.ndarray:
-    """Embed the coefficients into a (size, size) array indexed by k mod size."""
-    out = np.zeros(size * size, dtype=np.complex128)
-    out[_wrap_index(field.grid.n, size)] = field.coeffs
-    return out.reshape(size, size)
-
-
-def to_physical(field: ModeField, size: int | None = None) -> np.ndarray:
-    """Evaluate the field on a uniform grid x_ab = (2pi a/size, 2pi b/size).
-
-    Any size >= n resolves the truncation exactly.  Returns real samples of
-    shape (size, size); the rounding-level imaginary part of the inverse
-    transform is discarded after validating the reality condition.
-    """
-    grid = field.grid
-    if size is None:
-        size = grid.n
-    if size < grid.n:
-        raise ValueError(f"output resolution {size} cannot resolve n={grid.n} modes")
-    validate_reality(field)
-    w = _wrapped(field, size)
-    samples = np.fft.ifft2(w) * size**2
-    return np.ascontiguousarray(samples.real)
+def _wrapped(field: ModeField) -> np.ndarray:
+    """Embed the coefficients into an (n, n) array indexed by k mod n."""
+    n = field.grid.n
+    out = np.zeros(n * n, dtype=np.complex128)
+    out[_wrap_index(n)] = field.coeffs
+    return out.reshape(n, n)
 
 
 def from_physical(samples: np.ndarray, grid: TruncationGrid) -> ModeField:
@@ -334,4 +316,4 @@ def from_physical(samples: np.ndarray, grid: TruncationGrid) -> ModeField:
             f"sample array has shape {samples.shape}, expected ({grid.n}, {grid.n})"
         )
     spec = np.fft.fft2(samples.astype(np.float64)) / grid.n**2
-    return ModeField(grid, spec.reshape(-1)[_wrap_index(grid.n, grid.n)])
+    return ModeField(grid, spec.reshape(-1)[_wrap_index(grid.n)])

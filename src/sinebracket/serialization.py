@@ -55,16 +55,33 @@ def _write_rows(fh, header, rows) -> None:
     fh.writelines(",".join("" if x is None else repr(x) for x in row) + "\n" for row in rows)
 
 
-def _read_rows(path, header: Sequence[str], what: str) -> list[list[str]]:
-    """Non-empty rows, each ``len(header)`` wide; a row starting ``i`` or ``i1`` is a header."""
-    rows = []
+def _read_rows(path, header: Sequence[str], parse, what: str, optional: bool = False) -> list:
+    """``parse(row)`` for each non-empty row of the CSV file ``path``.
+
+    The file opens with the ``header`` line, unless ``header`` is empty or
+    ``optional`` (then a row whose first cell is ``i`` or ``i1`` is a header
+    and skipped).  Every row is as wide as the header, or as the first row
+    when there is none.  A row that is not, a row that ``parse`` refuses
+    with ``ValueError``, and a file without rows raise
+    :class:`ValidationError` naming the file (and the line).
+    """
+    rows, width = [], len(header)
     with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().lower() in ("i", "i1"):
+        reader = csv.reader(fh)
+        if header and not optional:
+            found = tuple(next(reader, ()))
+            if found != tuple(header):
+                raise ValidationError(f"{path}: header {found!r}, expected {','.join(header)}")
+        for row in reader:
+            if not row or (optional and row[0].strip().lower() in ("i", "i1")):
                 continue
-            if len(row) != len(header):
-                raise ValidationError(f"{path}: expected {','.join(header)} rows, got {row!r}")
-            rows.append(row)
+            width = width or len(row)
+            try:
+                if len(row) != width:
+                    raise ValueError(f"expected {','.join(header) or width} columns, got {row!r}")
+                rows.append(parse(row))
+            except ValueError as exc:
+                raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from exc
     if not rows:
         raise ValidationError(f"{path}: no {what} found")
     return rows
@@ -80,26 +97,25 @@ def save_mode_field(path, field: ModeField) -> None:
 
 def load_mode_field(path) -> ModeField:
     """Rebuild a mode field; the row order must be canonical."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != MODE_FIELD_HEADER:
-            raise ValidationError(f"unexpected mode-field header {header!r} in {path}")
-        rows = [row for row in reader if row]
+    rows = _read_rows(
+        path,
+        MODE_FIELD_HEADER,
+        lambda r: (int(r[0]), int(r[1]), float(r[2]), float(r[3])),
+        "mode rows",
+    )
     size = len(rows)
     n = round((size + 1) ** 0.5)
     if n % 2 == 0 or n * n - 1 != size:
         raise ValidationError(f"{path}: {size} rows is not a full odd-n mode set")
     grid = build_grid(n)
     coeffs = np.empty(size, dtype=np.complex128)
-    for idx, row in enumerate(rows):
-        i1, i2 = int(row[0]), int(row[1])
+    for idx, (i1, i2, real, imag) in enumerate(rows):
         expected = grid.vector_at(idx)
         if (i1, i2) != (expected.i1, expected.i2):
             raise ValidationError(
                 f"{path}: row {idx} holds mode ({i1}, {i2}), expected {tuple(expected)}"
             )
-        coeffs[idx] = complex(float(row[2]), float(row[3]))
+        coeffs[idx] = complex(real, imag)
     return ModeField(grid, coeffs)
 
 
@@ -113,10 +129,8 @@ def save_physical_field(path, values: np.ndarray) -> None:
 
 
 def load_physical_field(path) -> np.ndarray:
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    values = np.array([[float(x) for x in row] for row in rows], dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+    values = np.array(_read_rows(path, (), lambda r: [float(x) for x in r], "samples"))
+    if values.shape[0] != values.shape[1]:
         raise ValidationError(f"{path}: expected a square sample grid, got {values.shape}")
     return values
 
@@ -128,22 +142,9 @@ def save_diagnostics(path, records: Sequence[DiagnosticsRecord]) -> None:
 
 
 def load_diagnostics(path) -> list[DiagnosticsRecord]:
-    records = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != DIAGNOSTICS_HEADER:
-            raise ValidationError(f"unexpected diagnostics header {header!r} in {path}")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) != len(DIAGNOSTICS_HEADER):
-                    raise ValueError(f"expected {len(DIAGNOSTICS_HEADER)} columns, got {len(row)}")
-                records.append(DiagnosticsRecord(*map(float, row)))
-            except ValueError as exc:
-                raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from exc
-    return records
+    return _read_rows(
+        path, DIAGNOSTICS_HEADER, lambda r: DiagnosticsRecord(*map(float, r)), "diagnostics records"
+    )
 
 
 #: Rows joined into one string per write in :func:`save_violations`.
@@ -184,29 +185,38 @@ def save_violations(path, violations: ViolationTable) -> None:
             fh.write("".join([h + h.join(rows[lo:hi]) for h, lo, hi in zip(heads, cuts, cuts[1:])]))
 
 
+def _structure_constant(row) -> tuple[int, int, int, float]:
+    i, j, k = map(int, row[:3])
+    if min(i, j, k) < 0:
+        raise ValueError(f"negative basis index in ({i}, {j}, {k})")
+    return i, j, k, float(row[3])
+
+
 def load_generic_constants(path) -> np.ndarray:
     """Dense alpha_ij^k from sparse (i, j, k, value) rows, zero elsewhere.
 
     Indices are 0-based basis labels; the dimension is one past the
     largest index seen.
     """
-    entries = [
-        (int(i), int(j), int(k), float(value))
-        for i, j, k, value in _read_rows(path, ("i", "j", "k", "value"), "structure constants")
-    ]
+    entries = _read_rows(
+        path, ("i", "j", "k", "value"), _structure_constant, "structure constants", optional=True
+    )
     dim = 1 + max(max(i, j, k) for i, j, k, _ in entries)
     alpha = np.zeros((dim, dim, dim))
     for i, j, k, value in entries:
-        if min(i, j, k) < 0:
-            raise ValidationError(f"{path}: negative basis index in ({i}, {j}, {k})")
         alpha[i, j, k] = value
     return alpha
 
 
 def load_wave_vector_pairs(path) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """Wave-vector pairs ((i1, i2), (j1, j2)) from i1,i2,j1,j2 rows."""
-    rows = _read_rows(path, ("i1", "i2", "j1", "j2"), "wave-vector pairs")
-    return [((int(i1), int(i2)), (int(j1), int(j2))) for i1, i2, j1, j2 in rows]
+    return _read_rows(
+        path,
+        ("i1", "i2", "j1", "j2"),
+        lambda r: ((int(r[0]), int(r[1])), (int(r[2]), int(r[3]))),
+        "wave-vector pairs",
+        optional=True,
+    )
 
 
 def save_convergence_table(path, report: CheckReport) -> None:

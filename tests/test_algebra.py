@@ -17,7 +17,6 @@ from sinebracket.algebra import (
     ContinuumNambuTensor,
     DenseKillingForm,
     DenseNambuTensor,
-    GenericConstants,
     SineNambuTensor,
     ViolationTable,
     _violation_orbit,
@@ -40,7 +39,6 @@ from sinebracket.algebra import (
     lie_poisson_prefactor,
     nambu_bracket,
     nambu_prefactor,
-    orthogonality_check,
     quadratic_casimir,
     scan_gen_jacobi,
     scan_gen_jacobi_continuum,
@@ -52,9 +50,10 @@ from sinebracket.dynamics import (
     hamiltonian_functional,
     random_shell_field,
 )
-from sinebracket.errors import ConsistencyError, ValidationError
+from sinebracket.errors import ValidationError
 from sinebracket.functionals import ModePolynomial, random_real_polynomial
 from sinebracket.grid import ModeField, build_grid
+from sinebracket.verify import run_identity_suite
 
 TWO_PI = 2.0 * math.pi
 
@@ -269,11 +268,11 @@ def test_killing_and_the_per_row_contraction_flag_the_same_corruptions(monkeypat
 
 def test_orthogonality_relation():
     grid = build_grid(5)
-    for l in [(1, 0), (2, 2), (-1, 2)]:
-        assert orthogonality_check(grid, l) == pytest.approx(-1.0, abs=1e-11)
-    # arguments that wrap onto the origin flip the sum to n^2 - 1
-    for l in [(0, 0), (5, 0), (0, 5), (5, 5)]:
-        assert orthogonality_check(grid, l) == pytest.approx(24.0, abs=1e-11)
+    # arguments that wrap onto the origin flip the sum from -1 to n^2 - 1
+    witnesses = np.array([(1, 0), (2, 2), (-1, 2), (0, 0), (5, 0), (0, 5), (5, 5)])
+    totals, expected = sine_algebra._orthogonality_sum(grid, witnesses)
+    assert list(expected) == [-1.0] * 3 + [24.0] * 4
+    assert np.all(np.abs(totals - expected) <= 1e-11)
 
 
 @pytest.mark.parametrize("n", [3, 5, 9, 15])
@@ -292,11 +291,14 @@ def test_orthogonality_sums_are_bitwise_the_single_witness_sums(n):
 
 
 def test_orthogonality_check_refuses_a_nan_sum(monkeypatch):
+    # A NaN in the cosine table reaches the suite's orthogonality check
+    # through its sums and fails it.
     table = sine_algebra.cosine_table(5).copy()
     table[1] = np.nan
     monkeypatch.setattr(sine_algebra, "cosine_table", lambda n: table)
-    with pytest.raises(ConsistencyError, match="orthogonality violated"):
-        orthogonality_check(build_grid(5), (1, 0))
+    (report,) = run_identity_suite(5, only="orthogonality")
+    assert math.isnan(report.max_residual)
+    assert report.passed is False
 
 
 def test_quadratic_casimir_equals_enstrophy():
@@ -757,16 +759,20 @@ def test_generic_rejects_bad_constants():
     eps = _levi_civita()
     broken = eps.copy()
     broken[0, 1, 2] = -1.0  # single sign flip
-    with pytest.raises(ValidationError):
-        GenericConstants(broken)
+    with pytest.raises(ValidationError, match="not antisymmetric"):
+        construct_generic(broken)
     # antisymmetric but violating the Jacobi identity
     rng = np.random.default_rng(0)
     arb = rng.normal(size=(4, 4, 4))
     arb = arb - arb.transpose(1, 0, 2)
     with pytest.raises(ValidationError, match="Jacobi"):
         construct_generic(arb)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="scaling must be nonzero"):
         construct_generic(eps, scaling=0.0)
+    with pytest.raises(ValueError, match="cubic array"):
+        construct_generic(np.zeros((3, 3, 4)))
+    with pytest.raises(ValueError, match="exceeds the generic cap 128"):
+        construct_generic(np.zeros((129, 129, 129)))
 
 
 def test_fault_injection_single_sign_flip_detected():

@@ -436,8 +436,9 @@ def test_run_summary_reports_rhs_calls(tmp_path, scheme):
 def test_run_physical_csv_roundtrip(tmp_path):
     # physical samples of a band field: run must accept and integrate them
     from sinebracket.dynamics import random_shell_field
-    from sinebracket.grid import build_grid, to_physical
+    from sinebracket.grid import build_grid
     from sinebracket.serialization import save_physical_field
+    from test_grid import to_physical
 
     grid = build_grid(7)
     field = random_shell_field(grid, seed=5, shell_max=4.0, amplitude=1.0)

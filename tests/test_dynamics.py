@@ -267,7 +267,7 @@ def test_half_width_transforms_match_the_full_width_reference(n):
     assert half.shape == (m + 1, n)
     assert _close(half, (_full_from_weyl(n, x) * phase)[:, : m + 1].T)
     # to-Weyl: coefficients with c_{-k} = -conj(c_k) give a skew-Hermitian matrix
-    coeffs = 1j * _wrapped(_random_real_field(build_grid(n), seed=n), n)
+    coeffs = 1j * _wrapped(_random_real_field(build_grid(n), seed=n))
     table = np.empty((n, n), dtype=np.complex128)
     table[: m + 1] = (coeffs * phase)[:, : m + 1].T
     expected_table = table[: m + 1].copy()
@@ -284,7 +284,7 @@ def test_lift_lower_and_rhs_fast_match_the_full_width_reference(n):
     grid = build_grid(n)
     field = _random_real_field(grid, seed=n)
     w = lift(field)
-    assert _close(w, _full_to_weyl(n, _wrapped(field, n)))
+    assert _close(w, _full_to_weyl(n, _wrapped(field)))
     x = _random_hermitian(n, seed=n + 1)
     v = grid.vectors
     assert _close(lower(x).coeffs, _full_from_weyl(n, x)[v[:, 0] % n, v[:, 1] % n])
@@ -317,10 +317,9 @@ def test_wrapped_matches_modular_scatter(n):
     grid = build_grid(n)
     field = _random_real_field(grid, seed=1)
     v = grid.vectors
-    for size in (n, n + 1, 2 * n + 3):  # size > n is the to_physical case
-        expected = np.zeros((size, size), dtype=np.complex128)
-        expected[v[:, 0] % size, v[:, 1] % size] = field.coeffs
-        assert np.array_equal(_wrapped(field, size), expected)
+    expected = np.zeros((n, n), dtype=np.complex128)
+    expected[v[:, 0] % n, v[:, 1] % n] = field.coeffs
+    assert np.array_equal(_wrapped(field), expected)
 
 
 def test_tendency_conserves_quadratic_invariants_pointwise():
@@ -872,6 +871,36 @@ def test_random_shell_field_is_deterministic_and_banded():
             assert abs(a.get(v)) == pytest.approx(1.5 / k2, rel=1e-13)
         else:
             assert a.get(v) == 0.0
+
+
+def _random_shell_field_loop(grid, seed, shell_min, shell_max, amplitude):
+    # one draw per conjugate pair in the shell, taken at its first index
+    rng = np.random.default_rng(seed)
+    out = ModeField.zeros(grid)
+    for idx in range(grid.size):
+        mirror = int(grid.neg_index[idx])
+        if mirror < idx:
+            continue
+        k2 = float(grid.norms2[idx])
+        if not shell_min <= k2 <= shell_max:
+            continue
+        coeff = (amplitude / k2) * np.exp(2j * np.pi * rng.random())
+        out.coeffs[idx] = coeff
+        out.coeffs[mirror] = np.conj(coeff)
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 5, 21, 161])
+@pytest.mark.parametrize(
+    "shell_min, shell_max, amplitude",
+    [(1.0, 8.0, 1.0), (1.0, 16.0, 6.0), (2.0, 6.0, 1.5), (3.0, 2.0, 1.0), (0.0, 1e9, 50.0)],
+)
+def test_random_shell_field_is_bitwise_the_per_mode_loop(n, shell_min, shell_max, amplitude):
+    grid = build_grid(n)
+    for seed in (0, 1, 7):
+        field = random_shell_field(grid, seed, shell_min, shell_max, amplitude)
+        oracle = _random_shell_field_loop(grid, seed, shell_min, shell_max, amplitude)
+        assert field.coeffs.tobytes() == oracle.coeffs.tobytes()
 
 
 def test_shell_energies_partition_total():

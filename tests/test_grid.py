@@ -13,12 +13,19 @@ from sinebracket.grid import (
     build_grid,
     energy,
     enstrophy,
+    _wrapped,
     from_physical,
-    to_physical,
     validate_reality,
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def to_physical(field: ModeField) -> np.ndarray:
+    """Real samples of the field on the n x n grid x_ab = (2pi a/n, 2pi b/n)."""
+    validate_reality(field)
+    n = field.grid.n
+    return np.ascontiguousarray((np.fft.ifft2(_wrapped(field)) * n**2).real)
 
 
 def stream_function(field: ModeField) -> ModeField:

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -214,6 +215,27 @@ def test_load_generic_constants_rejects_bad_rows(tmp_path):
     empty.write_text("")
     with pytest.raises(ValidationError):
         load_generic_constants(empty)
+
+
+@pytest.mark.parametrize(
+    "load, text, where",
+    [
+        (load_wave_vector_pairs, "i1,i2,j1,j2\n1,0,x,1\n", "line 2"),
+        (load_physical_field, "1.0,2.0\n3.0\n", "line 2"),
+        (load_physical_field, "1.0,2.0\n3.0,y\n", "line 2"),
+        (load_generic_constants, "0,1,2,abc\n", "line 1"),
+        (load_generic_constants, "i,j,k,value\n0,1,2,1.0\n0,-1,2,1.0\n", "line 3"),
+        (load_mode_field, "i1,i2,re,im\n", "no mode rows"),
+        (load_mode_field, "i1,i2,re,im\n-1,-1,0.5\n", "line 2"),
+        (load_mode_field, "i1,i2,re,im\n-1,z,0.5,0.0\n", "line 2"),
+        (load_diagnostics, "time,H,E,drift_H,drift_E\n", "no diagnostics records"),
+    ],
+)
+def test_loaders_name_the_file_and_line_of_a_bad_row(tmp_path, load, text, where):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=re.escape(f"{path}") + r"[:,] " + where):
+        load(path)
 
 
 def test_load_wave_vector_pairs(tmp_path):

@@ -653,44 +653,46 @@ def _violation_orbit(indices: tuple) -> list[tuple]:
     return images
 
 
-#: Rows per block when packing orbit keys, bounding the dedupe's scratch.
-_KEY_BLOCK = 1 << 16
-
-
 def dedupe_violations(violations: ViolationTable) -> ViolationTable:
     """Keep one representative per symmetry orbit, in input order.
 
-    The six member codes of a tuple are the digits of one int64 in base
+    The six member codes of a tuple are the digits of its key in base
     ``len(members)``; an orbit's key is the smallest such number over the
     12 images of :func:`_violation_orbit`, and the first row with each key
-    is kept.  Raises ``ValueError`` when the packing would overflow.
+    is kept.  Raises ``ValueError`` past 1448 members, or when the packing
+    below would overflow an int64.
 
     The images permute slots (0, 1) and slots (2, 4, 5) independently and
-    fix slot 3, so the smallest image sorts each of those slot groups
-    ascending: the key is the packing of (min(i, j), max(i, j),
-    min(k, p, q), l, mid(k, p, q), max(k, p, q)).  The (i, j) part and k
-    are read per first triple, l and the sorted (p, q) per second triple.
+    fix slot 3, so the smallest image sorts each group: its head digits are
+    (min(i, j), max(i, j)), its tail digits (min, l, mid, max) of (k, p, q).
+    Heads are tabulated per first triple, tails per (k, second triple), and
+    a row's code is its head rank times the number of tails plus its tail
+    rank.  One in-place sort of ``(code << b) | row`` puts each orbit's
+    rows together, first row first.
     """
     base = len(violations.members)
     if base**6 > 2**63:
         raise ValueError(f"{base} members overflow the int64 orbit key (at most 1448)")
-    place = base ** np.arange(5, -1, -1, dtype=np.int64)
     t = violations.triples.astype(np.int64)
-    ij = np.minimum(t[:, 0], t[:, 1]) * place[0] + np.maximum(t[:, 0], t[:, 1]) * place[1]
-    l_part = t[:, 0] * place[3]
-    p_lo, p_hi = np.minimum(t[:, 1], t[:, 2]), np.maximum(t[:, 1], t[:, 2])
-    keys = np.empty(len(violations), dtype=np.int64)
-    for start in range(0, len(keys), _KEY_BLOCK):
-        block = slice(start, start + _KEY_BLOCK)
-        first, second = violations.first[block], violations.second[block]
-        k, lo, hi = t[first, 2], p_lo[second], p_hi[second]
-        key = ij[first] + l_part[second]
-        key += np.minimum(k, lo) * place[2]
-        key += np.maximum(lo, np.minimum(k, hi)) * place[4]
-        key += np.maximum(k, hi)
-        keys[block] = key
-    _, kept = np.unique(keys, return_index=True)
-    return violations[np.sort(kept)]
+    head = np.minimum(t[:, 0], t[:, 1]) * base + np.maximum(t[:, 0], t[:, 1])
+    k_values, krow = np.unique(t[:, 2], return_inverse=True)
+    k, lo, hi = k_values[:, None], np.minimum(t[:, 1], t[:, 2]), np.maximum(t[:, 1], t[:, 2])
+    tail = np.minimum(k, lo) * base + t[:, 0]
+    tail = (tail * base + np.maximum(lo, np.minimum(k, hi))) * base + np.maximum(k, hi)
+    head_values, head_rank = np.unique(head, return_inverse=True)
+    tail_values, tail_rank = np.unique(tail, return_inverse=True)
+    rows = len(violations)
+    b = max(rows - 1, 0).bit_length()
+    if len(head_values) * len(tail_values) << b > 2**63:
+        raise ValueError(f"{rows} rows overflow the int64 packing of their orbit codes")
+    code = tail_rank.reshape(-1)[(krow * len(t))[violations.first] + violations.second]
+    code += (head_rank * len(tail_values))[violations.first]
+    code <<= b
+    code |= np.arange(rows)
+    code.sort()
+    keep = np.ones(rows, dtype=bool)
+    keep[1:] = (code[1:] ^ code[:-1]) >> b != 0
+    return violations[np.sort(code[keep] & ((1 << b) - 1))]
 
 
 def scan_gen_jacobi(tensor: SineNambuTensor | DenseNambuTensor) -> ViolationTable:
@@ -771,7 +773,8 @@ def _scan_closing(
     that member (:func:`_matching_pairs`) and whose remaining delta holds.
     Each residual is summed as (t1 + t2) + t3, as a dense sum with zeros
     for the absent summands would be, and t1 is never zero, so the
-    residuals are bitwise those of the dense sum.
+    residuals are bitwise those of the dense sum.  A chunk's hits are
+    pulled out in one pass, as flat positions split by ``divmod``.
     """
     pair_i, pair_j = np.nonzero(pairs)
     pair_k = close[pair_i, pair_j]
@@ -798,17 +801,17 @@ def _scan_closing(
         for a, b, t in ((a2, b2, t2), (a3, b3, t3)):
             lo, hi = np.searchsorted(a, (start, stop))
             residual[a[lo:hi] - start, b[lo:hi]] += t[lo:hi]
-        hit_rows, hit_cols = np.nonzero(np.abs(residual) > tol)
-        first.append((start + hit_rows).astype(np.int32))
-        second.append(hit_cols.astype(np.int32))
-        residuals.append(residual[hit_rows, hit_cols])
-
+        flat = np.flatnonzero(np.abs(residual) > tol)
+        residuals.append(residual.ravel()[flat])
+        rows, cols = np.divmod(flat, n_pairs)
+        first.append(rows.astype(np.int32) + np.int32(start))
+        second.append(cols.astype(np.int32))
+    # one column at a time, so each list of chunks is freed before the next is joined
+    first = np.concatenate(first)
+    second = np.concatenate(second)
+    residuals = np.concatenate(residuals)
     return ViolationTable(
-        members,
-        np.stack([pair_i, pair_j, pair_k], axis=1),
-        np.concatenate(first),
-        np.concatenate(second),
-        np.concatenate(residuals),
+        members, np.stack([pair_i, pair_j, pair_k], axis=1), first, second, residuals
     )
 
 

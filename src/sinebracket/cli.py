@@ -5,7 +5,7 @@ Subcommands
 run          integrate a configured initial condition, write state CSVs,
              diagnostics, and a summary JSON
 verify       run the identity suite and/or the counterexample evaluation
-converge     tabulate the truncation error decay and fit its exponent
+converge     fit the truncation error's decay exponent; write a CSV and a summary JSON
 jacobi-scan  exhaustively scan for generalized-Jacobi violations, write them
              and a summary JSON with the seconds per stage and peak RSS
 
@@ -94,6 +94,10 @@ def _real(value, what: str) -> float:
     except (TypeError, ValueError):
         pass
     raise ValueError(f"{what} must be a number, got {value!r}")
+
+
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 
 
 def _string(value, what: str) -> str:
@@ -260,7 +264,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "rhs_calls_max_step": counts.max_per_step,
         "wall_time_s": wall,
         "steps_per_s": config.steps / wall if config.steps else 0.0,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # KiB on Linux
+        "peak_rss_mb": _peak_rss_mb(),
     }
     write_json(paths["summary"], summary)
     for p in paths.values():
@@ -273,6 +277,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    started = time.perf_counter()
     reports = []
     try:
         if args.counterexample:
@@ -294,6 +299,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 summands = r.params[f"{variant}_summands"]
                 print(f"{variant} summands: {summands[0]!r}, {summands[1]!r}, {summands[2]!r}")
     payload = {"n": args.n, "seed": args.seed, "reports": [r.to_dict() for r in reports]}
+    payload.update(runtime_s=time.perf_counter() - started, peak_rss_mb=_peak_rss_mb())
     write_json(args.out, payload)
     write_metadata(args.out, {"command": "verify", "n": args.n, "seed": args.seed}, args.seed)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
@@ -317,12 +323,22 @@ def cmd_converge(args: argparse.Namespace) -> int:
     save_convergence_table(table, report)
     sizes = report.params["n_list"]
     meta = {"command": "converge", "pairs": [list(map(list, p)) for p in pairs], "n_list": list(sizes)}
-    write_metadata(table, meta, report.params["seed"])
+    summary = {
+        "n_list": sizes,
+        "exponents": [row["exponent"] for row in report.params["pairs"]],
+        "passed": report.passed,
+        "runtime_s": report.runtime_s,
+        "peak_rss_mb": _peak_rss_mb(),
+    }
+    summary_path = out / "convergence_summary.json"
+    write_json(summary_path, summary)
+    for path in (table, summary_path):
+        write_metadata(path, meta, report.params["seed"])
     for row in report.params["pairs"]:
         exp = row["exponent"]
         label = "collinear, exact" if exp is None else f"exponent {exp:.4f}"
         print(f"pair {tuple(map(tuple, row['pair']))}: {label}")
-    print(f"study {'passed' if report.passed else 'FAILED'}; wrote {table}")
+    print(f"study {'passed' if report.passed else 'FAILED'}; wrote {table} and {summary_path}")
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -348,7 +364,7 @@ def cmd_jacobi_scan(args: argparse.Namespace) -> int:
         "tolerance": report.tolerance,
         "runtime_s": report.runtime_s,
         "stage_s": stage_s,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # KiB on Linux
+        "peak_rss_mb": _peak_rss_mb(),
     }
     summary_path = out / "scan_summary.json"
     write_json(summary_path, summary)

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebra import ViolationTable
+from .algebra import GENERIC_DIMENSION_CAP, ViolationTable
 from .dynamics import DiagnosticsRecord
 from .errors import ValidationError
 from .grid import ModeField, build_grid
@@ -147,56 +147,63 @@ def load_diagnostics(path) -> list[DiagnosticsRecord]:
     )
 
 
-#: Rows joined into one string per write in :func:`save_violations`.
+#: Rows whose tail texts :func:`save_violations` gathers at a time.
 _VIOLATION_BLOCK = 1 << 16
 
 
 def save_violations(path, violations: ViolationTable) -> None:
     """Flat index-tuple rows; order follows the scan's enumeration.
 
-    Each triple's text ``"c1,...,c6,"`` and each distinct residual's
-    ``repr`` (found by ``np.unique``, rows mapped to it by
-    ``searchsorted``) are built once.  Rows are written block by block; a
-    block builds the tail text (second triple, residual, newline) of each
-    pair that occurs in it, and writes each run of rows sharing a first
-    triple as one join, ``head + head.join(tails)``.
+    Each triple's text ``"c1,...,c6,"`` and the ``repr`` of each of the V
+    distinct residuals (by bit pattern, so -0.0 keeps its sign) are built
+    once.  The tail text (second triple, residual, newline) of each code
+    ``second * V + which`` that occurs is built once, found by a dense
+    lookup over the T * V codes.  Each run of rows sharing a first triple
+    is written as ``head + head.join(tails)``.
     """
     members = np.asarray(violations.members, dtype=np.int64)
     if members.ndim != 2 or members.shape[1] != 2:
         raise ValueError("the violation CSV holds wave-vector tuples, not plain basis labels")
     member_text = ["".join(f"{c}," for c in row) for row in members.tolist()]
     prefix = ["".join(member_text[c] for c in t) for t in violations.triples.tolist()]
-    values = np.unique(violations.residual)
-    suffix = [repr(x) + "\n" for x in values.tolist()]
+    bits = violations.residual.view(np.int64)
+    # distinct bit patterns by a sort (np.unique hashes integers, which is slower);
+    # the mask is cut to the table's length so that an empty table stays empty
+    values = np.sort(bits)
+    values = values[np.concatenate(([True], values[1:] != values[:-1]))[: len(values)]]
+    v = len(values)
+    codes = violations.second * np.int64(v) + np.searchsorted(values, bits)
+    occurring = np.flatnonzero(np.bincount(codes, minlength=len(prefix) * v))
+    lookup = np.zeros(len(prefix) * v, dtype=np.int32)
+    lookup[occurring] = np.arange(len(occurring))
+    suffix = [repr(x) + "\n" for x in values.view(np.float64).tolist()]
+    tails = np.array([prefix[c // v] + suffix[c % v] for c in occurring.tolist()], dtype=object)
     with _open_write(path) as fh:
         _write_rows(fh, VIOLATIONS_HEADER, ())
         for start in range(0, len(violations), _VIOLATION_BLOCK):
             block = slice(start, start + _VIOLATION_BLOCK)
             first = violations.first[block]
-            which = np.searchsorted(values, violations.residual[block])
-            codes = violations.second[block] * np.int64(len(suffix)) + which
-            # the block's distinct codes by a sort: np.unique hashes integers, which is slower
-            ordered = np.sort(codes)
-            distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-            tails = [prefix[c // len(suffix)] + suffix[c % len(suffix)] for c in distinct.tolist()]
-            rows = np.array(tails, dtype=object)[np.searchsorted(distinct, codes)].tolist()
+            rows = tails[lookup[codes[block]]].tolist()
             cuts = [0, *(np.flatnonzero(first[1:] != first[:-1]) + 1).tolist(), len(rows)]
             heads = [prefix[a] for a in first[cuts[:-1]].tolist()]
-            fh.write("".join([h + h.join(rows[lo:hi]) for h, lo, hi in zip(heads, cuts, cuts[1:])]))
+            for h, lo, hi in zip(heads, cuts, cuts[1:]):
+                fh.write(h + h.join(rows[lo:hi]))
 
 
 def _structure_constant(row) -> tuple[int, int, int, float]:
     i, j, k = map(int, row[:3])
     if min(i, j, k) < 0:
         raise ValueError(f"negative basis index in ({i}, {j}, {k})")
+    if max(i, j, k) >= GENERIC_DIMENSION_CAP:
+        raise ValueError(f"basis index in ({i}, {j}, {k}) is past the cap {GENERIC_DIMENSION_CAP}")
     return i, j, k, float(row[3])
 
 
 def load_generic_constants(path) -> np.ndarray:
     """Dense alpha_ij^k from sparse (i, j, k, value) rows, zero elsewhere.
 
-    Indices are 0-based basis labels; the dimension is one past the
-    largest index seen.
+    Indices are 0-based basis labels, each refused on its line unless below
+    ``GENERIC_DIMENSION_CAP``; the dimension is one past the largest seen.
     """
     entries = _read_rows(
         path, ("i", "j", "k", "value"), _structure_constant, "structure constants", optional=True

@@ -6,6 +6,7 @@ quadruple loop written directly from the definitions, and the
 counterexample summands by hand from the closed forms.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -566,6 +567,25 @@ def _reference_dedupe(violations):
     return kept
 
 
+def _unique_dedupe(violations):
+    """Array oracle: the six sorted-slot digits packed into one int64 key, first row per key."""
+    place = len(violations.members) ** np.arange(5, -1, -1, dtype=np.int64)
+    a = violations.triples[violations.first].astype(np.int64)
+    b = violations.triples[violations.second].astype(np.int64)
+    kpq = np.sort(np.stack([a[:, 2], b[:, 1], b[:, 2]], axis=1), axis=1)
+    ij = np.sort(a[:, :2], axis=1)
+    keys = np.stack([ij[:, 0], ij[:, 1], kpq[:, 0], b[:, 0], kpq[:, 1], kpq[:, 2]], axis=1) @ place
+    _, kept = np.unique(keys, return_index=True)
+    return violations[np.sort(kept)]
+
+
+def _loose_table():
+    """Triples that need not close, so no slot is fixed by the others."""
+    rng = np.random.default_rng(0)
+    rows = rng.integers(0, 40, (2, 2000))
+    return ViolationTable(range(5), rng.integers(0, 5, (40, 3)), *rows, rng.normal(size=2000))
+
+
 def test_dedupe_matches_per_tuple_oracle(scan5):
     head = scan5[:20000]
     assert list(dedupe_violations(head)) == _reference_dedupe(head)
@@ -574,11 +594,34 @@ def test_dedupe_matches_per_tuple_oracle(scan5):
     assert list(dedupe_violations(su2)) == _reference_dedupe(su2)
     continuum = scan_gen_jacobi_continuum(1)
     assert list(dedupe_violations(continuum)) == _reference_dedupe(continuum)
-    # triples that need not close, so no slot is fixed by the others
-    rng = np.random.default_rng(0)
-    rows = rng.integers(0, 40, (2, 2000))
-    loose = ViolationTable(range(5), rng.integers(0, 5, (40, 3)), *rows, rng.normal(size=2000))
+    loose = _loose_table()
     assert list(dedupe_violations(loose)) == _reference_dedupe(loose)
+
+
+def test_dedupe_matches_the_unique_route_bitwise(scan5):
+    for violations in (scan5, scan_gen_jacobi_continuum(2), _loose_table()):
+        kept, oracle = dedupe_violations(violations), _unique_dedupe(violations)
+        assert np.array_equal(kept.first, oracle.first)
+        assert np.array_equal(kept.second, oracle.second)
+        assert kept.residual.tobytes() == oracle.residual.tobytes()
+
+
+def test_dedupe_keeps_first_rows_near_the_top_of_the_key_range():
+    # With 1448 members the six-digit keys reach 1448**6 - 1, close to 2**63.
+    # The first two orbits' keys differ by exactly 3 * 2**61, so packing a
+    # key itself above the 3 row bits of an 8-row table wraps both to one
+    # code, and the first row of the later orbit is lost; the third orbit
+    # sits at the very top of the range
+    triples = [
+        [1425, 1434, 733], [447, 976, 1194],
+        [339, 426, 421], [607, 740, 906],
+        [1447, 1446, 1445], [1447, 1444, 1443],
+    ]
+    first, second = [2, 4, 0, 2, 0, 4, 0, 2], [3, 5, 1, 3, 1, 5, 1, 3]
+    table = ViolationTable(range(1448), triples, first, second, np.arange(8.0))
+    kept = _reference_dedupe(table)
+    assert [v.residual for v in kept] == [0.0, 1.0, 2.0]
+    assert list(dedupe_violations(table)) == kept
 
 
 def test_dedupe_packing_edge_and_overflow():
@@ -640,6 +683,29 @@ def test_scan_continuum_bound_two_counts():
     row = scan.find(KNOWN_JACOBI_VIOLATION)
     assert row is not None
     assert scan[row].residual == pytest.approx(COUNTEREXAMPLE_T1["continuum"], rel=1e-13)
+
+
+def _table_sha256(violations):
+    """sha256 over the bytes of triples, first, second and residual, in that order."""
+    digest = hashlib.sha256()
+    for column in (violations.triples, violations.first, violations.second, violations.residual):
+        digest.update(np.ascontiguousarray(column).tobytes())
+    return digest.hexdigest()
+
+
+def test_scan_n7_counts_and_tables_are_pinned():
+    # sha256 of the little-endian int32 and float64 arrays: a faster scan
+    # or dedupe must leave both tables bitwise equal
+    scan = scan_gen_jacobi(SineNambuTensor(build_grid(7)))
+    assert len(scan) == 3894912
+    assert _table_sha256(scan) == (
+        "13560c176772e5be48f8000372819edf1b6dbe161bfc44beaa40cc00d598da24"
+    )
+    kept = dedupe_violations(scan)
+    assert len(kept) == 973728
+    assert _table_sha256(kept) == (
+        "7c4c802b39cffb6979ee5b0ad5add463516c668727f73e8e1b19aef4c3226901"
+    )
 
 
 def _dense_scan_closing(members, value, close, pairs):

@@ -465,7 +465,10 @@ def test_verify_all_passes(tmp_path, capsys):
     assert "9/9 checks passed" in out
     assert "zeitlin summands:" in out and "continuum summands:" in out
     payload = json.loads(report.read_text())
+    assert set(payload) == {"n", "seed", "runtime_s", "peak_rss_mb", "reports"}
     assert payload["n"] == 5
+    assert payload["runtime_s"] >= sum(r["runtime_s"] for r in payload["reports"])
+    assert payload["peak_rss_mb"] > 0
     assert [r["name"] for r in payload["reports"]][-1] == "jacobi-counterexample"
     assert all(r["passed"] for r in payload["reports"])
     assert (tmp_path / "report.json.meta.json").exists()
@@ -619,6 +622,12 @@ def test_converge_default_pairs(tmp_path, capsys):
     assert len(rows) == 5  # header + four default pairs
     for row in rows[1:]:
         assert 1.8 <= float(row[-1]) <= 2.2
+    summary = json.loads((tmp_path / "convergence_summary.json").read_text(encoding="utf-8"))
+    assert (tmp_path / "convergence_summary.json.meta.json").exists()
+    assert set(summary) == {"n_list", "exponents", "passed", "runtime_s", "peak_rss_mb"}
+    assert summary["n_list"] == [11, 21, 41] and summary["passed"] is True
+    assert summary["exponents"] == [float(row[-1]) for row in rows[1:]]
+    assert summary["runtime_s"] > 0 and summary["peak_rss_mb"] > 0
 
 
 def test_converge_pairs_file_with_collinear_row(tmp_path, capsys):

@@ -10,8 +10,10 @@ import pytest
 
 import sinebracket
 from sinebracket.algebra import (
+    GENERIC_DIMENSION_CAP,
     DenseNambuTensor,
     SineNambuTensor,
+    ViolationTable,
     scan_gen_jacobi,
     scan_gen_jacobi_continuum,
 )
@@ -175,10 +177,14 @@ def _reference_violations_csv(violations) -> bytes:
 
 def test_violations_csv_matches_a_per_row_writer(tmp_path):
     # the empty table writes the header only; an unsorted sub-table with a
-    # repeated first triple splits into short runs; the continuum table
-    # spans several write blocks and many distinct residuals
+    # repeated first triple splits into short runs; -0.0 and 0.0 are one
+    # value but two texts; every 97th continuum row puts many distinct
+    # residuals on few rows; the continuum table spans several write
+    # blocks and many distinct residuals
     scan5 = scan_gen_jacobi(SineNambuTensor(build_grid(5)))
-    tables = [scan5[:0], scan5[np.array([7, 3, 3, 0])], scan_gen_jacobi_continuum(2)]
+    continuum = scan_gen_jacobi_continuum(2)
+    signed = ViolationTable(scan5.members, scan5.triples, [7, 7, 3], [3, 3, 3], [0.0, -0.0, 0.0])
+    tables = [scan5[:0], scan5[np.array([7, 3, 3, 0])], signed, continuum[::97], continuum]
     for number, violations in enumerate(tables):
         path = tmp_path / f"violations{number}.csv"
         save_violations(path, violations)
@@ -215,6 +221,13 @@ def test_load_generic_constants_rejects_bad_rows(tmp_path):
     empty.write_text("")
     with pytest.raises(ValidationError):
         load_generic_constants(empty)
+    # an index past the cap is refused on its line, before the dense array is allocated
+    top = tmp_path / "top.csv"
+    top.write_text(f"0,1,{GENERIC_DIMENSION_CAP - 1},1.0\n")
+    assert load_generic_constants(top).shape == (GENERIC_DIMENSION_CAP,) * 3
+    top.write_text(f"0,1,2,1.0\n0,{GENERIC_DIMENSION_CAP},2,1.0\n")
+    with pytest.raises(ValidationError, match=f"line 2: .* past the cap {GENERIC_DIMENSION_CAP}"):
+        load_generic_constants(top)
 
 
 @pytest.mark.parametrize(
@@ -225,6 +238,7 @@ def test_load_generic_constants_rejects_bad_rows(tmp_path):
         (load_physical_field, "1.0,2.0\n3.0,y\n", "line 2"),
         (load_generic_constants, "0,1,2,abc\n", "line 1"),
         (load_generic_constants, "i,j,k,value\n0,1,2,1.0\n0,-1,2,1.0\n", "line 3"),
+        (load_generic_constants, "i,j,k,value\n0,1,2,1.0\n0,1,299,1.0\n", "line 3"),
         (load_mode_field, "i1,i2,re,im\n", "no mode rows"),
         (load_mode_field, "i1,i2,re,im\n-1,-1,0.5\n", "line 2"),
         (load_mode_field, "i1,i2,re,im\n-1,z,0.5,0.0\n", "line 2"),

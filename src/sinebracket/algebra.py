@@ -31,10 +31,12 @@ constants, read at (i, j, -k)), and one closing-triple kernel scans both.
 The truncated algebra is a set of functions of its grid (:func:`alpha_zeitlin`,
 :func:`alpha_zeitlin_dense`, :func:`killing_bruteforce`, :func:`killing_closed`),
 and so are its brackets, :func:`lie_poisson_bracket` (grid, field, f1, f2) and
-:func:`nambu_bracket` (grid, field, f1, f2, f3).  Types remain only to
-validate outside input or to pick a Nambu entry rule.  :func:`scan_gen_jacobi`
-scans a truncated or a dense tensor; the untruncated tensor has no finite
-index set, so :func:`scan_gen_jacobi_continuum` takes the box it scans.
+:func:`nambu_bracket` (grid, field, f1, f2, f3), each one O(n^3) trace over
+the su(n) matrices of its slots; the N x N pair matrices remain as O(n^4)
+oracles.  Types remain only to validate outside input or to pick a Nambu
+entry rule.  :func:`scan_gen_jacobi` scans a truncated or a dense tensor;
+the untruncated tensor has no finite index set, so
+:func:`scan_gen_jacobi_continuum` takes the box it scans.
 
 Sine and cosine values are read from reflected tables indexed by integer
 arguments modulo n, so all antisymmetry and wrap cancellations hold
@@ -131,7 +133,7 @@ class _PairTables(NamedTuple):
     neg_wrap_index: np.ndarray  # (N, N) canonical index of -(i+j)|n, -1 likewise
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8)  # bounded: each holds three N x N tables
 def _pair_tables(n: int) -> _PairTables:
     grid = TruncationGrid(n)
     v = grid.vectors
@@ -461,10 +463,21 @@ def _bilinear_with_scale(
     return value, scale
 
 
-def _real_bilinear(matrix: np.ndarray, g1: np.ndarray, g2: np.ndarray, what: str) -> float:
-    """Real part of g1.M.g2; an imaginary residue beyond 1e-10 of the
-    cancellation scale raises :class:`ValidationError`."""
-    value, scale = _bilinear_with_scale(matrix, g1, g2)
+def _trace_bracket(grid: TruncationGrid, vectors, prefactor, what: str) -> float:
+    """i kappa tr(A [B, C]), kappa = prefactor(n)/2n, over the Weyl matrices of three vectors.
+
+    This is the closing-triple sum of the tensor with coefficient prefactor(n), in O(n^3).
+    A vector v lifts as lift(v) + i lift(-i v) = sum_k v_k T_k, complex-linear (``lift``
+    alone keeps the real part).  An imaginary part beyond 1e-10 of the term mass
+    |kappa| sum |A^T * [B, C]| raises :class:`ValidationError`.
+    """
+    from .dynamics import lift
+
+    a, b, c = (lift(ModeField(grid, v)) + 1j * lift(ModeField(grid, -1j * v)) for v in vectors)
+    terms = a.T * (b @ c - c @ b)
+    kappa = 0.5 * prefactor(grid.n) / grid.n
+    value = 1j * kappa * complex(np.sum(terms))
+    scale = abs(kappa) * float(np.sum(np.abs(terms)))
     if abs(value.imag) > 1e-10 * max(scale, 1e-300):
         raise ValidationError(
             f"{what} is not real: imaginary part {value.imag:.3e} at scale {scale:.3e}"
@@ -472,29 +485,19 @@ def _real_bilinear(matrix: np.ndarray, g1: np.ndarray, g2: np.ndarray, what: str
     return value.real
 
 
-def lie_poisson_bracket_complex(
-    grid: TruncationGrid, field: ModeField, f1: Functional, f2: Functional
-) -> complex:
-    """{F1, F2} without the realness demand; for coordinate functionals."""
-    matrix = _lie_poisson_matrix(grid, field)
-    return complex(f1.gradient(field) @ (matrix @ f2.gradient(field)))
-
-
 def lie_poisson_bracket(
     grid: TruncationGrid, field: ModeField, f1: Functional, f2: Functional
 ) -> float:
     """{F1, F2} = sum alpha_ij^k zeta_k dF1/dzeta_i dF2/dzeta_j as a real number.
 
-    For real-valued functionals on a conjugate-symmetric field the bracket
-    is real; an imaginary residue beyond 1e-10 relative to the cancellation
-    scale of the sum raises :class:`ValidationError`.
+    It is -i/(2(2pi)^3) tr(Z [A, B]), Z the matrix of the reflected field
+    zeta_{-k}, by :func:`_trace_bracket`.  For real-valued functionals on a
+    conjugate-symmetric field the bracket is real; an imaginary residue
+    beyond 1e-10 of the term mass raises :class:`ValidationError`.
     """
-    return _real_bilinear(
-        _lie_poisson_matrix(grid, field),
-        f1.gradient(field),
-        f2.gradient(field),
-        f"Lie-Poisson bracket of {f1.name!r} and {f2.name!r}",
-    )
+    vectors = (field.coeffs[grid.neg_index], f1.gradient(field), f2.gradient(field))
+    what = f"Lie-Poisson bracket of {f1.name!r} and {f2.name!r}"
+    return _trace_bracket(grid, vectors, lie_poisson_prefactor, what)
 
 
 def _nambu_matrix(grid: TruncationGrid, g3: np.ndarray) -> np.ndarray:
@@ -509,16 +512,13 @@ def nambu_bracket(
 ) -> float:
     """{F1, F2, F3} = N_ijk dF1_i dF2_j dF3_k on the truncation, as a real number.
 
-    The imaginary residue is checked as in :func:`lie_poisson_bracket`;
-    :func:`support_nambu_bracket` evaluates finitely supported observables
-    with any tensor.
+    It is -i/(2(2pi)^5) tr(A [B, C]) over the gradients' matrices, checked as
+    in :func:`lie_poisson_bracket`; :func:`support_nambu_bracket` evaluates
+    finitely supported observables with any tensor.
     """
-    return _real_bilinear(
-        _nambu_matrix(grid, f3.gradient(field)),
-        f1.gradient(field),
-        f2.gradient(field),
-        f"Nambu bracket of {f1.name!r}, {f2.name!r}, {f3.name!r}",
-    )
+    vectors = tuple(f.gradient(field) for f in (f1, f2, f3))
+    what = f"Nambu bracket of {f1.name!r}, {f2.name!r}, {f3.name!r}"
+    return _trace_bracket(grid, vectors, nambu_prefactor, what)
 
 
 def support_nambu_bracket(

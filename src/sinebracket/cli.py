@@ -262,7 +262,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "rhs_calls": counts.calls,
         "rhs_calls_per_step": counts.per_step,
         "rhs_calls_max_step": counts.max_per_step,
-        "wall_time_s": wall,
+        "runtime_s": wall,
         "steps_per_s": config.steps / wall if config.steps else 0.0,
         "peak_rss_mb": _peak_rss_mb(),
     }
@@ -429,7 +429,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (OSError, ConsistencyError, StepConvergenceError) as exc:
+    except (OSError, MemoryError, ConsistencyError, StepConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

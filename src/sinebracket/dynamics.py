@@ -145,9 +145,8 @@ def rhs_from_lie_poisson(grid: TruncationGrid, field: ModeField) -> ModeField:
     observables against the energy) rather than any shared assembly.
     The Lie-Poisson matrix M of the field and the vector M.grad(H) are
     built once per call; entry i is the gradient of the coordinate
-    functional zeta_i contracted with that vector, the same products as
-    :func:`lie_poisson_bracket_complex` forms for each mode.  O(n^4) per
-    call for the one N x N matrix, intended for cross checks at small n.
+    functional zeta_i contracted with that vector.  O(n^4) per call for
+    the one N x N matrix, intended for cross checks at small n.
     """
     from .algebra import _lie_poisson_matrix
     from .functionals import coordinate_functional

@@ -8,6 +8,7 @@ counterexample summands by hand from the closed forms.
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,6 @@ from sinebracket.algebra import (
     killing_closed,
     killing_diagonal,
     lie_poisson_bracket,
-    lie_poisson_bracket_complex,
     lie_poisson_prefactor,
     nambu_bracket,
     nambu_prefactor,
@@ -475,11 +475,69 @@ def test_brackets_refuse_a_field_without_conjugate_symmetry():
     field = ModeField(grid, rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size))
     h, e = hamiltonian_functional(grid), enstrophy_functional(grid)
     f = random_real_polynomial(grid, rng).as_functional("f")
-    assert lie_poisson_bracket_complex(grid, field, h, f).imag != 0.0
+    flow = sine_algebra._lie_poisson_matrix(grid, field) @ f.gradient(field)
+    assert (h.gradient(field) @ flow).imag != 0.0
     with pytest.raises(ValidationError, match="Lie-Poisson bracket .* is not real"):
         lie_poisson_bracket(grid, field, h, f)
     with pytest.raises(ValidationError, match="Nambu bracket .* is not real"):
         nambu_bracket(grid, field, h, f, e)
+
+
+def _pair_brackets(grid, field, fs):
+    # Reference: both brackets through the N x N pair matrices, with their summand mass.
+    g = [f.gradient(field) for f in fs]
+    lie = sine_algebra._lie_poisson_matrix(grid, field)
+    nambu = sine_algebra._nambu_matrix(grid, g[2])
+    return tuple(sine_algebra._bilinear_with_scale(m, g[0], g[1]) for m in (lie, nambu))
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 15])
+def test_trace_brackets_match_the_pair_matrices(n):
+    grid = build_grid(n)
+    rng = np.random.default_rng(n)
+    shell_max = min(8.0, float(grid.half**2))
+    h, e = hamiltonian_functional(grid), enstrophy_functional(grid)
+    polys = [random_real_polynomial(grid, rng).as_functional(f"f{i}") for i in range(3)]
+    for seed in range(2):
+        field = random_shell_field(grid, seed=seed, shell_max=shell_max, amplitude=2.0)
+        for fs in (polys, [h, polys[0], e], [polys[1], h, polys[2]]):
+            (lie, lie_scale), (nambu, nambu_scale) = _pair_brackets(grid, field, fs)
+            assert abs(lie_poisson_bracket(grid, field, fs[0], fs[1]) - lie) <= 1e-13 * lie_scale
+            assert abs(nambu_bracket(grid, field, *fs) - nambu) <= 1e-13 * nambu_scale
+    # i u for a real field u is not conjugate-symmetric, and it and the
+    # gradients of H and E lift to anti-Hermitian matrices; beside a real
+    # linear observable (an even number of factors i) the brackets are
+    # real again, so the trace route returns a value to compare.
+    field = ModeField(grid, 1j * random_shell_field(grid, seed=7).coeffs)
+    linear = ModePolynomial.from_terms([(0.5 + 0.25j, [(1, 0)])]).with_conjugate()
+    linear = linear.as_functional("l")
+    for fs in ([linear, h, e], [h, linear, e]):
+        (lie, lie_scale), (nambu, nambu_scale) = _pair_brackets(grid, field, fs)
+        assert abs(lie) > 0.1 * lie_scale  # a value, not a cancellation to rounding
+        assert abs(lie_poisson_bracket(grid, field, fs[0], fs[1]) - lie) <= 1e-13 * lie_scale
+        assert abs(nambu_bracket(grid, field, *fs) - nambu) <= 1e-13 * nambu_scale
+
+
+def test_trace_brackets_allocate_no_pair_matrix():
+    # At n = 61 one N x N float64 array is 3720^2 * 8 B = 110.7 MB.
+    grid = build_grid(61)
+    field = random_shell_field(grid, seed=1, shell_max=40.0, amplitude=2.0)
+    h, e = hamiltonian_functional(grid), enstrophy_functional(grid)
+    f = random_real_polynomial(grid, np.random.default_rng(1)).as_functional("f")
+    for bracket, slots in ((lie_poisson_bracket, (f, h)), (nambu_bracket, (f, h, e))):
+        tracemalloc.start()
+        try:
+            bracket(grid, field, *slots)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
+
+def test_pair_table_cache_is_bounded():
+    for n in range(3, 21, 2):  # nine sizes
+        sine_algebra._pair_tables(n)
+    assert sine_algebra._pair_tables.cache_info().currsize <= 8
 
 
 def test_support_bracket_matches_field_bracket():

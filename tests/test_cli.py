@@ -283,7 +283,7 @@ def test_run_summary_reports_steps_per_second(tmp_path):
     cfg_path, config = _write_config(tmp_path)
     assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert summary["steps_per_s"] == config["steps"] / summary["wall_time_s"] > 0.0
+    assert summary["steps_per_s"] == config["steps"] / summary["runtime_s"] > 0.0
     cfg_path, _ = _write_config(tmp_path, steps=0)
     assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
     assert json.loads((tmp_path / "out" / "summary.json").read_text())["steps_per_s"] == 0.0
@@ -592,6 +592,25 @@ def test_unwritable_report_path_is_runtime_error(tmp_path, capsys):
     code = main(["verify", "--n", "3", "--out", str(tmp_path)])
     assert code == EXIT_RUNTIME
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, stage", [("run", "integrate"), ("verify", "run_identity_suite")]
+)
+def test_out_of_memory_is_runtime_error(tmp_path, capsys, monkeypatch, command, stage):
+    # numpy's _ArrayMemoryError is a MemoryError; the stand-in allocates nothing.
+    message = "Unable to allocate 111. MiB for an array with shape (3720, 3720)"
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(sinebracket.cli, stage, refuse)
+    cfg_path, _ = _write_config(tmp_path)
+    args = ["--config", str(cfg_path)] if command == "run" else ["--n", "5", "--out", "r.json"]
+    monkeypatch.chdir(tmp_path)
+    assert main([command, *args]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_verify_counterexample_only(tmp_path, capsys):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sinebracket import algebra, dynamics
-from sinebracket.algebra import lie_poisson_bracket_complex, quadratic_casimir
+from sinebracket.algebra import quadratic_casimir
 from sinebracket.dynamics import (
     _MIDPOINT_MAX_ITER,
     _MIDPOINT_TOL,
@@ -141,7 +141,7 @@ def _rhs_from_lie_poisson_per_mode(grid, field):
     out = np.empty(grid.size, dtype=np.complex128)
     for a in range(grid.size):
         coord = coordinate_functional(grid, grid.vector_at(a))
-        out[a] = lie_poisson_bracket_complex(grid, field, coord, ham)
+        out[a] = coord.gradient(field) @ (algebra._lie_poisson_matrix(grid, field) @ ham.gradient(field))
     return out
 
 

@@ -48,6 +48,7 @@ from .serialization import (
     write_metadata,
 )
 from .verify import (
+    COUNTEREXAMPLE_MIN_N,
     format_reports,
     run_convergence_study,
     run_counterexample,
@@ -286,7 +287,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             reports.extend(run_identity_suite(args.n, seed=args.seed, only=args.suite))
         else:  # --all and the default
             reports.extend(run_identity_suite(args.n, seed=args.seed))
-            if args.n >= 5:
+            if args.n >= COUNTEREXAMPLE_MIN_N:
                 reports.append(run_counterexample(args.n))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,9 +35,6 @@ class Functional:
     def value_complex(self, field: ModeField) -> complex:
         return complex(self._value_fn(field))
 
-    def value(self, field: ModeField) -> float:
-        return self.value_complex(field).real
-
     def gradient(self, field: ModeField) -> np.ndarray:
         g = np.asarray(self._gradient_fn(field), dtype=np.complex128)
         if g.shape != (field.grid.size,):

@@ -36,6 +36,9 @@ TWO_PI = 2.0 * np.pi
 #: Relative tolerance for the reality condition zeta_hat(-k) = conj(zeta_hat(k)).
 REALITY_TOL = 1e-12
 
+#: Largest truncation parameter; a run's memory grows as n^2 and stays under 2 GB at n = 2001.
+MAX_TRUNCATION = 2001
+
 
 class WaveVector(NamedTuple):
     """Integer wave vector (i1, i2) on the 2pi-periodic square."""
@@ -80,8 +83,8 @@ class TruncationGrid:
             if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
                 raise ValueError(f"truncation parameter must be an integer, got {self.n!r}")
             object.__setattr__(self, "n", int(self.n))
-        if self.n < 3 or self.n % 2 == 0:
-            raise ValueError(f"truncation parameter must be odd and >= 3, got {self.n}")
+        if not 3 <= self.n <= MAX_TRUNCATION or self.n % 2 == 0:
+            raise ValueError(f"truncation n must be odd in [3, {MAX_TRUNCATION}], got {self.n}")
 
     @property
     def half(self) -> int:
@@ -241,10 +244,10 @@ def validate_reality(field: ModeField, tol: float = REALITY_TOL) -> float:
     A non-finite coefficient raises :class:`ConsistencyError`; a residual
     above ``tol`` raises :class:`ValidationError`.
     """
+    if not np.all(np.isfinite(field.coeffs)):  # before inf - inf warns in the residual
+        raise ConsistencyError("mode field has non-finite coefficients")
     residual = field.reality_residual()
-    if not residual <= tol:  # a non-finite field gives a NaN residual
-        if not np.all(np.isfinite(field.coeffs)):
-            raise ConsistencyError("mode field has non-finite coefficients")
+    if not residual <= tol:
         raise ValidationError(
             f"reality condition violated: relative residual {residual:.3e} exceeds {tol:.1e}"
         )

@@ -287,28 +287,27 @@ def _rhs_equivalence_residual(grid: TruncationGrid, rng: np.random.Generator) ->
     return worst / max(scale, 1e-300)
 
 
-# The eight structural checks in dependency order: name, tolerance, whether
-# the check draws from the rng, and the residual as a function of (grid, rng).
+# The eight structural checks in dependency order: name, tolerance, and the
+# residual as a function of (grid, rng), rng being the check's own generator.
 # Each lambda looks its helper up as a module global when it runs, so a
-# patched helper (as the benchmark's span tracer installs) is the one called;
-# running them in this order keeps the rng draws in order.
+# patched helper (as the benchmark's span tracer installs) is the one called.
 IDENTITY_CHECKS = (
-    ("alpha-antisymmetry", 1e-15, False, lambda grid, rng: _table_antisymmetry_residual(grid)),
-    ("jacobi-identity", 1e-12, False, lambda grid, rng: _table_jacobi_residual(grid)),
-    ("killing-form", 1e-12, False, lambda grid, rng: _killing_residual(grid)),
-    ("orthogonality", 1e-11, False, lambda grid, rng: _orthogonality_residual(grid)),
-    ("casimir-commutes", 1e-12, True, lambda grid, rng: _casimir_residual(grid, rng)),
-    ("nambu-reduction", 1e-12, True, lambda grid, rng: _reduction_residual(grid, rng)),
-    ("nambu-antisymmetry", 1e-15, False, lambda grid, rng: _nambu_antisymmetry_residual(grid)),
-    ("rhs-equivalence", 1e-10, True, lambda grid, rng: _rhs_equivalence_residual(grid, rng)),
+    ("alpha-antisymmetry", 1e-15, lambda grid, rng: _table_antisymmetry_residual(grid)),
+    ("jacobi-identity", 1e-12, lambda grid, rng: _table_jacobi_residual(grid)),
+    ("killing-form", 1e-12, lambda grid, rng: _killing_residual(grid)),
+    ("orthogonality", 1e-11, lambda grid, rng: _orthogonality_residual(grid)),
+    ("casimir-commutes", 1e-12, lambda grid, rng: _casimir_residual(grid, rng)),
+    ("nambu-reduction", 1e-12, lambda grid, rng: _reduction_residual(grid, rng)),
+    ("nambu-antisymmetry", 1e-15, lambda grid, rng: _nambu_antisymmetry_residual(grid)),
+    ("rhs-equivalence", 1e-10, lambda grid, rng: _rhs_equivalence_residual(grid, rng)),
 )
 
 
 def run_identity_suite(n: int, seed: int = 0, only: str | None = None) -> list[CheckReport]:
     """The eight structural checks of :data:`IDENTITY_CHECKS`, in order.
 
-    With ``only``, that check alone runs after the drawing checks before it,
-    so its rng draws are those of the full suite.
+    With ``only``, that check alone runs.  Each check draws from its own
+    ``np.random.default_rng([seed, *name.encode()])``, whatever else runs.
     """
     grid = build_grid(n)
     if n > 15:
@@ -316,22 +315,22 @@ def run_identity_suite(n: int, seed: int = 0, only: str | None = None) -> list[C
     names = [check[0] for check in IDENTITY_CHECKS]
     if only is not None and only not in names:
         raise ValueError(f"unknown check {only!r}; one of: {', '.join(names)}")
-    rng = np.random.default_rng(seed)
-    base = {"n": n, "seed": seed}
     reports = []
-    checks = IDENTITY_CHECKS if only is None else IDENTITY_CHECKS[: names.index(only) + 1]
-    for name, tolerance, draws, residual in checks:
+    for name, tolerance, residual in IDENTITY_CHECKS:
         if only in (None, name):
             started = time.perf_counter()
-            reports.append(_report(name, dict(base), residual(grid, rng), tolerance, started))
-        elif draws:
-            residual(grid, rng)  # advances the rng as the full suite does
+            value = residual(grid, np.random.default_rng([seed, *name.encode()]))
+            reports.append(_report(name, {"n": n, "seed": seed}, value, tolerance, started))
     return reports
 
 
 # ---------------------------------------------------------------------------
 # counterexample, convergence study, violation scan
 # ---------------------------------------------------------------------------
+
+
+#: Smallest n on which the counterexample is evaluated; ``verify --all`` skips it below.
+COUNTEREXAMPLE_MIN_N = 5
 
 
 def run_counterexample(n: int) -> CheckReport:
@@ -342,8 +341,8 @@ def run_counterexample(n: int) -> CheckReport:
     residual is the worst spurious summand (inf when a first summand
     degenerates to zero or NaN, so the check fails in that direction too).
     """
-    if n < 5:
-        raise ValueError(f"counterexample evaluation needs n >= 5, got {n}")
+    if n < COUNTEREXAMPLE_MIN_N:
+        raise ValueError(f"counterexample evaluation needs n >= {COUNTEREXAMPLE_MIN_N}, got {n}")
     grid = build_grid(n)
     tup = KNOWN_JACOBI_VIOLATION
     started = time.perf_counter()

@@ -51,7 +51,7 @@ from sinebracket.dynamics import (
     hamiltonian_functional,
     random_shell_field,
 )
-from sinebracket.errors import ValidationError
+from sinebracket.errors import ConsistencyError, ValidationError
 from sinebracket.functionals import ModePolynomial, random_real_polynomial
 from sinebracket.grid import ModeField, build_grid
 from sinebracket.verify import run_identity_suite
@@ -310,6 +310,15 @@ def test_quadratic_casimir_equals_enstrophy():
         field = random_shell_field(grid, seed=seed, shell_max=9.0, amplitude=2.0)
         value = quadratic_casimir(grid, field)
         assert value == pytest.approx(enstrophy(field), rel=1e-13)
+
+
+def test_quadratic_casimir_refuses_a_mismatch_with_the_enstrophy(monkeypatch):
+    grid = build_grid(5)
+    field = random_shell_field(grid, seed=0, shell_max=4.0, amplitude=2.0)
+    enstrophy = sine_algebra.enstrophy
+    monkeypatch.setattr(sine_algebra, "enstrophy", lambda f: enstrophy(f) * (1 + 1e-9))
+    with pytest.raises(ConsistencyError, match="does not match the enstrophy"):
+        quadratic_casimir(grid, field)
 
 
 def test_dense_killing_rejects_singular_pairing():
@@ -819,6 +828,11 @@ def test_scan_kernel_matches_the_dense_oracle_bitwise(scan5, monkeypatch):
 
 def test_scan_zero_tensor_is_empty():
     assert scan_gen_jacobi(DenseNambuTensor(np.zeros((4, 4, 4)))) == []
+
+
+def test_dense_scan_refuses_dimension_13():
+    with pytest.raises(ValueError, match="limited to dimension 12, got 13"):
+        scan_gen_jacobi(DenseNambuTensor(np.zeros((13, 13, 13))))
 
 
 # ---------------------------------------------------------------------------

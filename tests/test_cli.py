@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import tracemalloc
 import types
 import warnings
 
@@ -18,6 +19,7 @@ from sinebracket.cli import (
     RunConfig,
     main,
 )
+from sinebracket.grid import MAX_TRUNCATION
 from sinebracket.serialization import config_hash, load_diagnostics, load_mode_field
 
 
@@ -96,12 +98,12 @@ def test_midpoint_run_is_deterministic_byte_for_byte(tmp_path):
 def test_run_cli_overrides_take_precedence(tmp_path):
     cfg_path, _ = _write_config(tmp_path)
     alt = tmp_path / "alt"
-    code = main(
-        ["run", "--config", str(cfg_path), "--steps", "20", "--seed", "9", "--out", str(alt)]
-    )
+    argv = ["run", "--config", str(cfg_path), "--steps", "20", "--seed", "9", "--dt", "2e-3"]
+    code = main([*argv, "--out", str(alt)])
     assert code == EXIT_OK
     summary = json.loads((alt / "summary.json").read_text())
-    assert summary["steps"] == 20 and summary["seed"] == 9
+    assert summary["steps"] == 20 and summary["seed"] == 9 and summary["dt"] == 2e-3
+    assert summary["final_time"] == pytest.approx(0.04)
 
 
 def test_run_single_pair_modes_ic_is_preserved(tmp_path):
@@ -531,17 +533,8 @@ def test_verify_suite_residual_is_bitwise_its_all_value(tmp_path, seed):
         assert report["max_residual"] == check["max_residual"], check["name"]
 
 
-@pytest.mark.parametrize(
-    "name, expected",
-    [
-        ("killing-form", ["killing-form"]),
-        ("nambu-reduction", ["casimir-commutes", "nambu-reduction"]),
-        ("rhs-equivalence", ["casimir-commutes", "nambu-reduction", "rhs-equivalence"]),
-    ],
-)
-def test_verify_suite_runs_only_the_drawing_checks_before_it(
-    tmp_path, monkeypatch, name, expected
-):
+@pytest.mark.parametrize("name", CHECK_HELPERS)
+def test_verify_suite_runs_only_its_check(tmp_path, monkeypatch, name):
     from sinebracket import verify
 
     ran = []
@@ -557,7 +550,18 @@ def test_verify_suite_runs_only_the_drawing_checks_before_it(
         monkeypatch.setattr(verify, helper, recorded(check, getattr(verify, helper)))
     code = main(["verify", "--n", "5", "--suite", name, "--out", str(tmp_path / "r.json")])
     assert code == EXIT_OK
-    assert ran == expected
+    assert ran == [name]
+
+
+def test_verify_seed_is_any_non_negative_integer(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    big = ["verify", "--n", "5", "--seed", str(2**70), "--suite", "rhs-equivalence"]
+    assert main([*big, "--out", str(report)]) == EXIT_OK
+    assert json.loads(report.read_text())["seed"] == 2**70
+    report.unlink()
+    assert main(["verify", "--n", "5", "--seed", "-1", "--out", str(report)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not report.exists()
 
 
 def test_verify_unknown_check_is_refused_before_any_check_runs(tmp_path, capsys, monkeypatch):
@@ -580,6 +584,30 @@ def test_verify_unknown_check_is_refused_before_any_check_runs(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: unknown check 'bogus'; one of: alpha-antisymmetry, ")
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--config", "{config}"], ["converge", "--n-list", "11,{n}", "--out", "{out}"]],
+    ids=["run", "converge"],
+)
+def test_n_above_the_grid_cap_is_usage_error_before_any_table(tmp_path, capsys, argv):
+    n = MAX_TRUNCATION + 2
+    cfg_path, _ = _write_config(tmp_path, n=n)
+    out = tmp_path / "out"
+    argv = [a.format(config=cfg_path, n=n, out=out) for a in argv]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"[3, {MAX_TRUNCATION}], got {n}" in err
+    assert not out.exists()
+    assert peak < 1_000_000
 
 
 def test_verify_even_n_is_usage_error(tmp_path, capsys):
@@ -718,6 +746,26 @@ def test_jacobi_scan_writes_violations(tmp_path, capsys):
     assert all(seconds > 0 for seconds in summary["stage_s"].values())
     assert summary["runtime_s"] >= summary["stage_s"]["scan"] + summary["stage_s"]["dedupe"]
     assert summary["peak_rss_mb"] > 0
+
+
+def test_jacobi_scan_without_the_known_tuple_fails(tmp_path, capsys, monkeypatch):
+    from sinebracket import verify
+    from sinebracket.algebra import KNOWN_JACOBI_VIOLATION
+
+    scan = verify.scan_gen_jacobi
+
+    def scan_missing_the_known_tuple(tensor):
+        table = scan(tensor)
+        keep = np.ones(len(table), dtype=bool)
+        keep[table.find(KNOWN_JACOBI_VIOLATION)] = False
+        return table[keep]
+
+    monkeypatch.setattr(verify, "scan_gen_jacobi", scan_missing_the_known_tuple)
+    assert main(["jacobi-scan", "--n", "5", "--out", str(tmp_path)]) == EXIT_CHECK_FAILED
+    assert "known counterexample tuple: MISSING (residual None)" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "scan_summary.json").read_text(encoding="utf-8"))
+    assert summary["passed"] is False and summary["max_residual"] == float("inf")
+    assert summary["params"]["violations_raw"] == 211199
 
 
 def test_jacobi_scan_rejects_large_n(tmp_path, capsys):

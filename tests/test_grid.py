@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from sinebracket.errors import ValidationError
+from sinebracket.errors import ConsistencyError, ValidationError
 from sinebracket.grid import (
+    MAX_TRUNCATION,
     ModeField,
     TruncationGrid,
     WaveVector,
@@ -53,6 +54,12 @@ def test_grid_rejects_even_and_tiny_n():
         build_grid(1)
     with pytest.raises(ValueError):
         build_grid(-5)
+
+
+def test_grid_refuses_n_above_the_cap():
+    assert build_grid(MAX_TRUNCATION).n == MAX_TRUNCATION
+    with pytest.raises(ValueError, match=f"got {MAX_TRUNCATION + 2}"):
+        build_grid(MAX_TRUNCATION + 2)
 
 
 def test_grid_refuses_non_integer_n():
@@ -119,6 +126,13 @@ def test_validate_reality_flags_asymmetry():
     # mirror left at zero: clearly not a real field
     with pytest.raises(ValidationError):
         validate_reality(ModeField(grid, coeffs))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_reality_refuses_a_non_finite_field(bad):
+    field = ModeField.from_modes(build_grid(5), {(1, 0): 1.0 + 0.5j, (0, 2): bad})
+    with pytest.raises(ConsistencyError, match="non-finite"):
+        validate_reality(field)
 
 
 def _physical_oracle(field, samples_per_side):

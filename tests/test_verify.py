@@ -57,6 +57,18 @@ def test_identity_suite_other_seed_passes():
     assert all(r.passed for r in run_identity_suite(5, seed=12345))
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_dropping_a_check_leaves_the_other_residuals_bitwise(monkeypatch, seed):
+    # Each check draws from a generator keyed by its own name, so removing
+    # the first drawing check moves none of the draws of the two after it.
+    full = {r.name: r.max_residual for r in run_identity_suite(5, seed=seed)}
+    kept = tuple(c for c in verify.IDENTITY_CHECKS if c[0] != "casimir-commutes")
+    monkeypatch.setattr(verify, "IDENTITY_CHECKS", kept)
+    dropped = {r.name: r.max_residual for r in run_identity_suite(5, seed=seed)}
+    del full["casimir-commutes"]
+    assert dropped == full
+
+
 def _table_jacobi_residual_per_row(grid):
     # Reference: one row of the wrap table clipped per iteration, on the
     # tables the suite reads.

@@ -488,14 +488,18 @@ def step(
 ) -> np.ndarray:
     """The Hermitian vorticity matrix W advanced by one step of ``config.dt``.
 
-    ``w`` is left untouched and must be square with odd n >= 3, else :class:`ValueError`.
+    ``w`` is left untouched and must be square, of a size :func:`build_grid` accepts.
     The step is the map ``_SCHEMES[config.scheme]``.  ``rhs`` writes each tendency into the
     ``out`` it is given; ``guess`` starts a midpoint solve in place of the Euler guess.
     """
     shape = np.shape(w)
-    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 3 or shape[0] % 2 == 0:
-        raise ValueError(f"vorticity matrix must be square with odd n >= 3, got shape {shape}")
-    return _SCHEMES[config.scheme](build_grid(len(w)), w, config.dt, rhs, guess)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"vorticity matrix must be square, got shape {shape}")
+    try:
+        grid = build_grid(shape[0])
+    except ValueError as exc:
+        raise ValueError(f"{exc} (vorticity matrix: got shape {shape})") from None
+    return _SCHEMES[config.scheme](grid, w, config.dt, rhs, guess)
 
 
 # Highest order of the extrapolated midpoint guess, and its weights for

@@ -33,6 +33,7 @@ from sinebracket.dynamics import (
 from sinebracket.errors import ConsistencyError, StepConvergenceError, ValidationError
 from sinebracket.functionals import coordinate_functional
 from sinebracket.grid import (
+    MAX_TRUNCATION,
     ModeField,
     _invariants,
     _quadratic_terms,
@@ -806,6 +807,16 @@ def test_sim_state_refuses_a_matrix_that_is_not_square_with_odd_n(shape):
     # the simulation state that step() advances is the matrix W
     with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
         step(np.zeros(shape, dtype=np.complex128), IntegratorConfig())
+
+
+def test_step_refuses_a_matrix_above_the_truncation_cap():
+    # The cap comes from build_grid, the one place that validates n; the
+    # broadcast matrix allocates nothing.
+    n = MAX_TRUNCATION + 2
+    w = np.broadcast_to(np.zeros((), dtype=np.complex128), (n, n))
+    message = f"truncation n must be odd in [3, {MAX_TRUNCATION}], got {n}"
+    with pytest.raises(ValueError, match=re.escape(f"{message} (vorticity matrix: got shape")):
+        step(w, IntegratorConfig())
 
 
 def test_rk4_step_allocates_little_beyond_the_new_state():

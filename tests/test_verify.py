@@ -9,7 +9,9 @@ from sinebracket import algebra, verify
 from sinebracket.algebra import _pair_tables
 from sinebracket.grid import build_grid
 from sinebracket.verify import (
+    _are_residue_tables,
     _jacobi_orbit_max,
+    _residue_cube_max,
     _table_jacobi_residual,
     format_reports,
     gen_jacobi_residual_known,
@@ -182,6 +184,39 @@ def test_table_jacobi_residual_is_within_rounding_below_every_rotation(n):
 def test_table_jacobi_residual_is_pinned(n, expected):
     # No BLAS call enters the kernel, so the residual is reproducible.
     assert _table_jacobi_residual(build_grid(n)) == expected
+
+
+@pytest.mark.parametrize("n", range(3, 23, 2))
+def test_residue_cube_is_bitwise_the_orbit_scan_on_the_package_tables(n):
+    tables = _pair_tables(n)
+    assert _are_residue_tables(build_grid(n), tables)
+    w = np.clip(tables.wrap_index, 0, None)
+    assert _residue_cube_max(n) == _jacobi_orbit_max(tables.sin_cross, w)
+
+
+def _nan_planted_tables(n):
+    tables = _pair_tables(n)
+    s = tables.sin_cross.copy()
+    s[1, 2] = np.nan
+    return tables._replace(sin_cross=s)
+
+
+@pytest.mark.parametrize("n", [3, 5, 9])
+@pytest.mark.parametrize(
+    "build", [_sign_flipped_tables, _wrap_asymmetric_tables, _random_tables, _nan_planted_tables]
+)
+def test_residue_test_rejects_tables_that_are_not_residue_tables(n, build):
+    assert not _are_residue_tables(build_grid(n), build(n))
+
+
+def test_jacobi_check_on_the_package_tables_does_not_run_the_orbit_scan(monkeypatch):
+    def refuse(s, w):
+        raise AssertionError("orbit scan ran on residue tables")
+
+    monkeypatch.setattr(verify, "_jacobi_orbit_max", refuse)
+    (report,) = run_identity_suite(15, only="jacobi-identity")
+    assert report.passed
+    assert report.max_residual == 4.4899501906260685e-16
 
 
 def test_wrap_table_without_symmetry_fails_the_jacobi_check(monkeypatch):

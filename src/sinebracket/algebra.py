@@ -150,10 +150,12 @@ def _pair_tables(n: int) -> _PairTables:
 
 
 def _masked_gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """values[index] with index == -1 mapped to 0.0."""
-    out = values[np.clip(index, 0, None)]
-    out[index < 0] = 0.0
-    return out
+    """values[index] with index == -1 mapped to 0.0, for a 1-D values and index >= -1.
+
+    One gather from values with a +0.0 appended, which index -1 reads, so
+    the table is neither clipped nor masked.
+    """
+    return np.concatenate((values, [0.0]))[index]
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +246,23 @@ def killing_bruteforce(grid: TruncationGrid) -> np.ndarray:
     O(N^2): for (a, k) with l = (a+k)|n retained, only b = (k-l)|n, read from
     the wrap table, can close (b+l)|n = k.  The term is kept where the
     table's own delta holds and is scatter-added into (a, b); the closed
-    form is never consulted.
+    form is never consulted.  The tables are read raveled, at flat indices
+    x N + y, in the row-major order of a 2-D scan.
     """
     t = _pair_tables(grid.n)
     pref = lie_poisson_prefactor(grid.n)
-    w = t.wrap_index
-    a, k = np.nonzero(w >= 0)
-    l = w[a, k]  # upper index closing alpha_{a,k}
-    b = w[k, grid.neg_index[l]]  # the one b with (b+l)|n = k, -1 if none
-    keep = (b >= 0) & (w[b, l] == k)  # the delta of alpha_{b,l}^k; b = -1 fails first
-    a, k, l, b = a[keep], k[keep], l[keep], b[keep]
-    terms = (pref * t.sin_cross[a, k]) * (pref * t.sin_cross[b, l])
-    return np.bincount(a * grid.size + b, weights=terms, minlength=w.size).reshape(w.shape)
+    size = grid.size
+    w, s = t.wrap_index.ravel(), t.sin_cross.ravel()
+    ak = np.flatnonzero(w >= 0)  # (a, k) at a N + k
+    k = ak % size
+    l = w.take(ak)  # upper index closing alpha_{a,k}
+    b = w.take(k * size + grid.neg_index.take(l))  # the one b with (b+l)|n = k, -1 if none
+    bl = b * size + l  # b = -1 reads a row-(N-1) entry, which the b >= 0 test discards
+    keep = (b >= 0) & (w.take(bl) == k)  # the delta of alpha_{b,l}^k
+    ak, b, bl = ak[keep], b[keep], bl[keep]
+    terms = (pref * s.take(ak)) * (pref * s.take(bl))
+    ab = ak // size * size + b
+    return np.bincount(ab, weights=terms, minlength=w.size).reshape(size, size)
 
 
 def killing_closed(grid: TruncationGrid) -> np.ndarray:
@@ -457,7 +464,11 @@ def _lie_poisson_matrix(grid: TruncationGrid, field: ModeField) -> np.ndarray:
 def _bilinear_with_scale(
     matrix: np.ndarray, g1: np.ndarray, g2: np.ndarray
 ) -> tuple[complex, float]:
-    """g1.M.g2 plus the L1 mass of the summands (cancellation scale)."""
+    """g1.M.g2 plus the L1 mass of the summands (cancellation scale).
+
+    The per-pair oracle of the shared products in ``verify``'s casimir and
+    reduction checks.
+    """
     value = complex(g1 @ (matrix @ g2))
     scale = float(np.abs(g1) @ (np.abs(matrix) @ np.abs(g2)))
     return value, scale

@@ -279,6 +279,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     reports = []
     try:
         if args.counterexample:

@@ -237,6 +237,39 @@ def test_killing_matches_the_per_row_contraction(n):
     assert np.max(np.abs(killing_bruteforce(grid) - reference)) <= 1e-14 * abs(killing_diagonal(n))
 
 
+def _killing_2d_gather(grid):
+    # Reference: the same kernel with 2-D fancy gathers on the (N, N) tables.
+    t = sine_algebra._pair_tables(grid.n)
+    pref = lie_poisson_prefactor(grid.n)
+    w = t.wrap_index
+    a, k = np.nonzero(w >= 0)
+    l = w[a, k]
+    b = w[k, grid.neg_index[l]]
+    keep = (b >= 0) & (w[b, l] == k)
+    a, k, l, b = a[keep], k[keep], l[keep], b[keep]
+    terms = (pref * t.sin_cross[a, k]) * (pref * t.sin_cross[b, l])
+    return np.bincount(a * grid.size + b, weights=terms, minlength=w.size).reshape(w.shape)
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 15])
+def test_killing_flat_gathers_are_bitwise_the_2d_gathers(n):
+    grid = build_grid(n)
+    assert killing_bruteforce(grid).tobytes() == _killing_2d_gather(grid).tobytes()
+
+
+def test_killing_flat_gathers_match_the_2d_gathers_on_corrupted_wrap_tables(monkeypatch):
+    # A -1 entry makes b = -1, which both forms read and then discard.
+    grid = build_grid(5)
+    clean = sine_algebra._pair_tables(5)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        w = clean.wrap_index.copy()
+        i, j = rng.integers(grid.size, size=2)
+        w[i, j] = rng.integers(-1, grid.size)
+        monkeypatch.setattr(sine_algebra, "_pair_tables", lambda n, w=w: clean._replace(wrap_index=w))
+        assert killing_bruteforce(grid).tobytes() == _killing_2d_gather(grid).tobytes()
+
+
 def _killing_flags(grid, kernel):
     defect = np.max(np.abs(kernel(grid) - killing_closed(grid)))
     return bool(defect > 1e-12 * abs(killing_diagonal(grid.n)))
@@ -541,6 +574,28 @@ def test_trace_brackets_allocate_no_pair_matrix():
         finally:
             tracemalloc.stop()
         assert peak < 10e6
+
+
+def _clip_and_mask_gather(values, index):
+    # Reference: the table clipped into range, gathered, then masked.
+    out = values[np.clip(index, 0, None)]
+    out[index < 0] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("n", [5, 15])
+@pytest.mark.parametrize("table", ["wrap_index", "neg_wrap_index"])
+def test_masked_gather_is_bitwise_the_clip_and_mask_form(n, table):
+    index = getattr(sine_algebra._pair_tables(n), table)
+    assert (index == -1).any()
+    rng = np.random.default_rng(n)
+    real = -np.abs(rng.standard_normal(n * n - 1))
+    real[::3] = -0.0  # negative zeros whose sign bit must survive the gather
+    for values in (real, real + 1j * real[::-1], np.full(n * n - 1, -0.0 - 0.0j)):
+        expected = _clip_and_mask_gather(values, index)
+        measured = sine_algebra._masked_gather(values, index)
+        assert measured.dtype == expected.dtype
+        assert measured.tobytes() == expected.tobytes()
 
 
 def test_pair_table_cache_is_bounded():

@@ -622,6 +622,25 @@ def test_unwritable_report_path_is_runtime_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_verify_creates_the_report_directory_before_any_check_runs(tmp_path, capsys, monkeypatch):
+    from sinebracket import verify
+
+    report = tmp_path / "missing" / "deeper" / "report.json"
+    seen = []
+    first = verify._table_antisymmetry_residual
+
+    def recorded(grid):
+        seen.append(report.parent.is_dir())
+        return first(grid)
+
+    monkeypatch.setattr(verify, "_table_antisymmetry_residual", recorded)
+    assert main(["verify", "--n", "5", "--all", "--out", str(report)]) == EXIT_OK
+    assert seen == [True]
+    assert "9/9 checks passed" in capsys.readouterr().out
+    assert len(json.loads(report.read_text())["reports"]) == 9
+    assert (report.parent / "report.json.meta.json").exists()
+
+
 @pytest.mark.parametrize(
     "command, stage", [("run", "integrate"), ("verify", "run_identity_suite")]
 )

@@ -7,6 +7,8 @@ import pytest
 
 from sinebracket import algebra, verify
 from sinebracket.algebra import _pair_tables
+from sinebracket.dynamics import enstrophy_functional, hamiltonian_functional, random_shell_field
+from sinebracket.functionals import Functional, random_real_polynomial
 from sinebracket.grid import build_grid
 from sinebracket.verify import (
     _are_residue_tables,
@@ -69,6 +71,136 @@ def test_dropping_a_check_leaves_the_other_residuals_bitwise(monkeypatch, seed):
     dropped = {r.name: r.max_residual for r in run_identity_suite(5, seed=seed)}
     del full["casimir-commutes"]
     assert dropped == full
+
+
+# Every residual of `verify --n N --all` at N = 5 and 15, as float.hex: a
+# change to the arithmetic of any check moves at least one of them.
+PINNED_RESIDUALS = {
+    (5, 0): {
+        "alpha-antisymmetry": "0x0.0p+0",
+        "jacobi-identity": "0x1.ef4bef2f80fe3p-52",
+        "killing-form": "0x1.2756b8fe29163p-51",
+        "orthogonality": "0x1.8000000000000p-50",
+        "casimir-commutes": "0x1.760f2ad330f60p-56",
+        "nambu-reduction": "0x1.eb1a932b23c1dp-53",
+        "nambu-antisymmetry": "0x0.0p+0",
+        "rhs-equivalence": "0x1.2828e357d3325p-53",
+        "jacobi-counterexample": "0x0.0p+0",
+    },
+    (5, 1): {
+        "alpha-antisymmetry": "0x0.0p+0",
+        "jacobi-identity": "0x1.ef4bef2f80fe3p-52",
+        "killing-form": "0x1.2756b8fe29163p-51",
+        "orthogonality": "0x1.8000000000000p-50",
+        "casimir-commutes": "0x1.9cc4c4405b8acp-55",
+        "nambu-reduction": "0x1.0363bca68706ap-52",
+        "nambu-antisymmetry": "0x0.0p+0",
+        "rhs-equivalence": "0x1.50fcfbe4ba8e2p-53",
+        "jacobi-counterexample": "0x0.0p+0",
+    },
+    (15, 0): {
+        "alpha-antisymmetry": "0x0.0p+0",
+        "jacobi-identity": "0x1.02d3f83b629b7p-51",
+        "killing-form": "0x1.f999bb1d82630p-49",
+        "orthogonality": "0x1.2c00000000000p-45",
+        "casimir-commutes": "0x1.126ceb23c5c25p-56",
+        "nambu-reduction": "0x1.05653b23d39f3p-54",
+        "nambu-antisymmetry": "0x0.0p+0",
+        "rhs-equivalence": "0x1.35fee8cc605a6p-52",
+        "jacobi-counterexample": "0x0.0p+0",
+    },
+    (15, 1): {
+        "alpha-antisymmetry": "0x0.0p+0",
+        "jacobi-identity": "0x1.02d3f83b629b7p-51",
+        "killing-form": "0x1.f999bb1d82630p-49",
+        "orthogonality": "0x1.2c00000000000p-45",
+        "casimir-commutes": "0x1.004581242c28dp-55",
+        "nambu-reduction": "0x1.883793adea81dp-54",
+        "nambu-antisymmetry": "0x0.0p+0",
+        "rhs-equivalence": "0x1.2f31ea19834f6p-52",
+        "jacobi-counterexample": "0x0.0p+0",
+    },
+}
+
+
+@pytest.mark.parametrize("n, seed", list(PINNED_RESIDUALS))
+def test_suite_residuals_are_pinned_bitwise(n, seed):
+    reports = [*run_identity_suite(n, seed), run_counterexample(n)]
+    measured = {r.name: float(r.max_residual).hex() for r in reports}
+    assert measured == PINNED_RESIDUALS[n, seed]
+
+
+def _casimir_residual_per_pair(grid, rng):
+    # Reference: one _bilinear_with_scale per (field, observable), drawing
+    # from rng as the check does.
+    e = enstrophy_functional(grid)
+    shell_max = min(8.0, float(grid.half**2))
+    fields = [
+        random_shell_field(grid, seed=int(rng.integers(2**31)), shell_max=shell_max, amplitude=2.0)
+        for _ in range(2)
+    ]
+    observables = [hamiltonian_functional(grid)] + [
+        random_real_polynomial(grid, rng).as_functional() for _ in range(2)
+    ]
+    worst = 0.0
+    for field in fields:
+        matrix = algebra._lie_poisson_matrix(grid, field)
+        ge = e.gradient(field)
+        for f in observables:
+            value, scale = algebra._bilinear_with_scale(matrix, f.gradient(field), ge)
+            worst = verify._nanmax(worst, abs(value) / max(scale, 1e-300))
+    return worst
+
+
+def _reduction_residual_per_pair(grid, rng):
+    # Reference: both gradients and both _bilinear_with_scale calls per pair.
+    e = enstrophy_functional(grid)
+    pool = [hamiltonian_functional(grid)] + [
+        random_real_polynomial(grid, rng).as_functional() for _ in range(3)
+    ]
+    shell_max = min(8.0, float(grid.half**2))
+    worst = 0.0
+    for _ in range(2):
+        field = random_shell_field(
+            grid, seed=int(rng.integers(2**31)), shell_max=shell_max, amplitude=2.0
+        )
+        lp = algebra._lie_poisson_matrix(grid, field)
+        nm = algebra._nambu_matrix(grid, e.gradient(field))
+        for f1 in pool[:2]:
+            for f2 in pool[1:]:
+                g1, g2 = f1.gradient(field), f2.gradient(field)
+                v_n, s_n = algebra._bilinear_with_scale(nm, g1, g2)
+                v_l, s_l = algebra._bilinear_with_scale(lp, g1, g2)
+                worst = verify._nanmax(worst, abs(v_n - v_l) / max(s_n, s_l, 1e-300))
+    return worst
+
+
+@pytest.mark.parametrize("n", [5, 9, 15])
+@pytest.mark.parametrize(
+    "name, check, reference",
+    [
+        ("casimir-commutes", "_casimir_residual", _casimir_residual_per_pair),
+        ("nambu-reduction", "_reduction_residual", _reduction_residual_per_pair),
+    ],
+)
+def test_shared_product_checks_are_bitwise_the_per_pair_loops(n, name, check, reference):
+    grid = build_grid(n)
+    for seed in range(6):
+        key = [seed, *name.encode()]
+        measured = getattr(verify, check)(grid, np.random.default_rng(key))
+        expected = reference(grid, np.random.default_rng(key))
+        assert measured.hex() == expected.hex(), seed
+
+
+def test_reduction_evaluates_each_gradient_once_per_field(monkeypatch):
+    # two fields, each with four pool gradients and one enstrophy gradient
+    calls = []
+    gradient = Functional.gradient
+    monkeypatch.setattr(
+        Functional, "gradient", lambda self, field: calls.append(self) or gradient(self, field)
+    )
+    run_identity_suite(5, only="nambu-reduction")
+    assert len(calls) == 10
 
 
 def _table_jacobi_residual_per_row(grid):

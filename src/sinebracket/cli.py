@@ -49,6 +49,7 @@ from .serialization import (
 )
 from .verify import (
     COUNTEREXAMPLE_MIN_N,
+    check_request,
     format_reports,
     run_convergence_study,
     run_counterexample,
@@ -263,6 +264,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "rhs_calls": counts.calls,
         "rhs_calls_per_step": counts.per_step,
         "rhs_calls_max_step": counts.max_per_step,
+        "smoothed_guess_steps": counts.smoothed_guess_steps,
         "runtime_s": wall,
         "steps_per_s": config.steps / wall if config.steps else 0.0,
         "peak_rss_mb": _peak_rss_mb(),
@@ -279,20 +281,21 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    reports = []
-    try:
-        if args.counterexample:
-            reports.append(run_counterexample(args.n))
-        elif args.suite:
-            reports.extend(run_identity_suite(args.n, seed=args.seed, only=args.suite))
-        else:  # --all and the default
-            reports.extend(run_identity_suite(args.n, seed=args.seed))
-            if args.n >= COUNTEREXAMPLE_MIN_N:
-                reports.append(run_counterexample(args.n))
+    try:  # refuse a bad request before the report's directory is made
+        check_request(args.n, args.seed, args.suite, args.counterexample)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+    reports = []
+    if args.counterexample:
+        reports.append(run_counterexample(args.n))
+    elif args.suite:
+        reports.extend(run_identity_suite(args.n, seed=args.seed, only=args.suite))
+    else:  # --all and the default
+        reports.extend(run_identity_suite(args.n, seed=args.seed))
+        if args.n >= COUNTEREXAMPLE_MIN_N:
+            reports.append(run_counterexample(args.n))
 
     print(format_reports(reports))
     for r in reports:

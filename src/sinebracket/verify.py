@@ -54,6 +54,7 @@ from .grid import TWO_PI, TruncationGrid, WaveVector, _as_wave_vector, build_gri
 __all__ = [
     "CheckReport",
     "IDENTITY_CHECKS",
+    "check_request",
     "run_identity_suite",
     "run_counterexample",
     "run_convergence_study",
@@ -339,18 +340,33 @@ IDENTITY_CHECKS = (
 )
 
 
+def check_request(
+    n: int, seed: int = 0, only: str | None = None, counterexample: bool = False
+) -> None:
+    """Raise the ValueError that :func:`run_identity_suite` or, with ``counterexample``,
+    :func:`run_counterexample` raises for these arguments, before any work is done."""
+    if counterexample and n < COUNTEREXAMPLE_MIN_N:
+        raise ValueError(f"counterexample evaluation needs n >= {COUNTEREXAMPLE_MIN_N}, got {n}")
+    build_grid(n)  # odd n in [3, MAX_TRUNCATION]
+    if counterexample:
+        return
+    if n > 15:
+        raise ValueError(f"identity suite is capped at n = 15, got {n}")
+    names = [check[0] for check in IDENTITY_CHECKS]
+    if only is not None and only not in names:
+        raise ValueError(f"unknown check {only!r}; one of: {', '.join(names)}")
+    if seed < 0:  # the checks' generators take non-negative seeds only
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 def run_identity_suite(n: int, seed: int = 0, only: str | None = None) -> list[CheckReport]:
     """The eight structural checks of :data:`IDENTITY_CHECKS`, in order.
 
     With ``only``, that check alone runs.  Each check draws from its own
     ``np.random.default_rng([seed, *name.encode()])``, whatever else runs.
     """
+    check_request(n, seed, only)
     grid = build_grid(n)
-    if n > 15:
-        raise ValueError(f"identity suite is capped at n = 15, got {n}")
-    names = [check[0] for check in IDENTITY_CHECKS]
-    if only is not None and only not in names:
-        raise ValueError(f"unknown check {only!r}; one of: {', '.join(names)}")
     reports = []
     for name, tolerance, residual in IDENTITY_CHECKS:
         if only in (None, name):
@@ -377,8 +393,7 @@ def run_counterexample(n: int) -> CheckReport:
     residual is the worst spurious summand (inf when a first summand
     degenerates to zero or NaN, so the check fails in that direction too).
     """
-    if n < COUNTEREXAMPLE_MIN_N:
-        raise ValueError(f"counterexample evaluation needs n >= {COUNTEREXAMPLE_MIN_N}, got {n}")
+    check_request(n, counterexample=True)
     grid = build_grid(n)
     tup = KNOWN_JACOBI_VIOLATION
     started = time.perf_counter()

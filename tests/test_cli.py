@@ -435,6 +435,19 @@ def test_run_summary_reports_rhs_calls(tmp_path, scheme):
         assert 40 <= calls and per_step <= most <= 51
 
 
+@pytest.mark.parametrize("scheme", ["rk4", "implicit_midpoint"])
+def test_run_summary_counts_smoothed_guess_steps(tmp_path, scheme):
+    # A midpoint step may start from the smoothing guess once 20 states are
+    # kept, so at most from step 20 of these 40; RK4 takes no guess.
+    cfg_path, _ = _write_config(tmp_path, scheme=scheme)
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+    smoothed = json.loads((tmp_path / "out" / "summary.json").read_text())["smoothed_guess_steps"]
+    if scheme == "rk4":
+        assert smoothed == 0
+    else:
+        assert 0 < smoothed <= 40 - 19
+
+
 def test_run_physical_csv_roundtrip(tmp_path):
     # physical samples of a band field: run must accept and integrate them
     from sinebracket.dynamics import random_shell_field
@@ -614,6 +627,19 @@ def test_verify_even_n_is_usage_error(tmp_path, capsys):
     code = main(["verify", "--n", "4", "--out", str(tmp_path / "r.json")])
     assert code == EXIT_USAGE
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--n", "4"], ["--n", "5", "--suite", "nope"], ["--n", "5", "--seed", "-1"],
+     ["--n", "3", "--counterexample"]],
+    ids=["even-n", "unknown-suite", "negative-seed", "counterexample-small-n"],
+)
+def test_verify_usage_error_creates_no_report_directory(tmp_path, capsys, argv):
+    out = tmp_path / "newdir" / "r.json"
+    assert main(["verify", *argv, "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unwritable_report_path_is_runtime_error(tmp_path, capsys):

@@ -607,6 +607,116 @@ def test_integrate_counts_rhs_calls_per_step():
     assert RhsCounts().per_step == 0.0
 
 
+def test_smoothing_weights_are_the_exact_least_squares_fit():
+    # Recompute the degree-10 least-squares fit through t = 0, -1, ..., -19,
+    # evaluated at t = 1, in exact arithmetic: w = V (V^T V)^-1 v(1).
+    from fractions import Fraction
+
+    degree, count = 10, 20
+    rows = [[Fraction(-j) ** p for p in range(degree + 1)] for j in range(count)]
+    normal = [
+        [sum(r[a] * r[b] for r in rows) for b in range(degree + 1)] + [Fraction(1)]
+        for a in range(degree + 1)
+    ]
+    for c in range(degree + 1):  # Gauss-Jordan on the positive-definite system
+        normal[c] = [x / normal[c][c] for x in normal[c]]
+        for r in range(degree + 1):
+            if r != c:
+                normal[r] = [x - normal[r][c] * y for x, y in zip(normal[r], normal[c])]
+    solution = [row[-1] for row in normal]
+    weights = [sum(x * y for x, y in zip(r, solution)) for r in rows]
+    assert [w * 12920 for w in weights] == [
+        round(x * 12920) for x in dynamics._SMOOTH_WEIGHTS
+    ]
+    assert np.array_equal(np.array([float(w) for w in weights]), dynamics._SMOOTH_WEIGHTS)
+    assert sum(weights) == 1
+    for p in range(degree + 1):
+        assert sum(w * Fraction(-j) ** p for j, w in enumerate(weights)) == 1  # t^p at t = 1
+    order8 = dynamics._GUESS_WEIGHTS[dynamics._GUESS_ORDER]
+    assert math.isclose(np.linalg.norm(order8), 220.5, rel_tol=1e-3)
+    assert math.sqrt(sum(w * w for w in weights)) < 25.0
+
+
+def test_midpoint_smoothing_guess_makes_about_one_rhs_call_per_step():
+    # The run-midpoint-n21 benchmark configuration; the order-8 guess alone
+    # makes 1.80 rhs calls per step here.
+    field, config = _midpoint_case(seed=12, dt=1e-3, steps=1000)
+    counts = RhsCounts()
+    integrate(field, config, counts=counts)
+    assert counts.per_step <= 1.1
+    assert counts.smoothed_guess_steps > 900
+
+
+def _order8_integrate(field, config, counts):
+    """The midpoint path of integrate() with only the order-<=8 extrapolated
+    guess, as it ran before the smoothing guess."""
+    validate_reality(field, tol=1e-10)
+    w, t = lift(field), 0.0
+    h0, e0 = dynamics._matrix_invariants(w)
+    records = [DiagnosticsRecord(0.0, h0, e0, 0.0, 0.0)]
+
+    def counted(grid, w, out=None):
+        counts.calls += 1
+        return rhs_fast(grid, w, out=out)
+
+    kept = 1
+    history = np.empty((dynamics._GUESS_ORDER + 1, w.size), dtype=np.complex128)
+    history[0] = w.ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(1, config.steps + 1):
+            before = counts.calls
+            guess = None
+            if kept > 1:
+                weights = dynamics._SLOT_WEIGHTS[kept, (s - 1) % len(history)]
+                guess = (weights @ history[:kept]).reshape(w.shape)
+            w = step(w, config, counted, guess)
+            t += config.dt
+            counts.steps += 1
+            counts.max_per_step = max(counts.max_per_step, counts.calls - before)
+            assert np.isfinite(w).all()
+            history[s % len(history)] = w.ravel()
+            kept = min(kept + 1, len(history))
+            if s % config.record_every == 0 or s == config.steps:
+                records.append(dynamics._record(t, w, h0, e0))
+    dynamics._workspace.cache_clear()
+    return lower(w), records
+
+
+@pytest.mark.parametrize("dt", [1e-2, 5e-3])
+def test_midpoint_run_outside_the_smoothing_rule_is_the_order8_run(dt):
+    # Each step here needs more than two rhs calls, so the smoothing guess
+    # never engages and the run is bitwise the order-8 one.
+    field, config = _midpoint_case(seed=12, dt=dt, steps=300)
+    config = IntegratorConfig(scheme=config.scheme, dt=dt, steps=300, record_every=30)
+    counts, expected_counts = RhsCounts(), RhsCounts()
+    final, records = integrate(field, config, counts=counts)
+    expected, expected_records = _order8_integrate(field, config, expected_counts)
+    assert counts.smoothed_guess_steps == 0
+    assert counts == expected_counts
+    assert np.array_equal(final.coeffs, expected.coeffs)
+    assert records == expected_records
+
+
+def test_midpoint_run_outside_the_smoothing_rule_allocates_no_older_ring():
+    # The ring of older states is allocated only once a step meets the rule;
+    # here it would add 11 n^2 complex entries, 1.15 MB, to the peak.  Two
+    # calls of one function already differ by some tens of bytes (Python's
+    # own object caches), so the peaks are compared to within 4 kB.
+    n = 81
+    field, config = _midpoint_case(seed=12, dt=5e-3, steps=30, n=n)
+    peaks = []
+    for run in (lambda: integrate(field, config, counts=RhsCounts()),
+                lambda: _order8_integrate(field, config, RhsCounts())):
+        run()  # builds the per-n tables outside the trace
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[0] - peaks[1]) < 4096 < 11 * n * n * 16
+
+
 def test_midpoint_nonfinite_update_raises_at_once():
     # shell amplitude 50 at dt = 5 overflows within a few sweeps; a loop
     # that kept sweeping on NaN would stop only at the 50-sweep cap

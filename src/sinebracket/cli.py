@@ -13,14 +13,19 @@ Exit codes: 0 success, 1 check failure, 2 usage or configuration error,
 3 runtime failure.  ``run`` accepts a negative ``dt`` (a reversed run) and
 exits 3 without writing outputs when the state becomes non-finite.  Every
 output file gains a ``.meta.json`` sidecar recording version,
-configuration hash, and seed; outputs are byte-identical across reruns of
-the same configuration and seed.
+configuration hash, and seed.  Outputs are byte-identical across reruns of
+the same configuration and seed on one numpy/BLAS build with one BLAS thread
+setting; ``run`` records all three in ``summary.json``.  The thread count
+alone can move a result: an implicit-midpoint run at n = 641 that stops
+unconverged reports a last update of 1.553e-10 with OPENBLAS_NUM_THREADS
+unset and 8.738e-11 with it set to 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import sys
 import time
@@ -100,6 +105,17 @@ def _real(value, what: str) -> float:
 
 def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+
+
+def _numerical_environment() -> dict:
+    """The numpy and BLAS builds and the BLAS thread setting that a run's digits depend on."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy_version": np.__version__,
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
 
 
 def _string(value, what: str) -> str:
@@ -268,6 +284,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "runtime_s": wall,
         "steps_per_s": config.steps / wall if config.steps else 0.0,
         "peak_rss_mb": _peak_rss_mb(),
+        "environment": _numerical_environment(),
     }
     write_json(paths["summary"], summary)
     for p in paths.values():
@@ -306,7 +323,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     payload = {"n": args.n, "seed": args.seed, "reports": [r.to_dict() for r in reports]}
     payload.update(runtime_s=time.perf_counter() - started, peak_rss_mb=_peak_rss_mb())
     write_json(args.out, payload)
-    write_metadata(args.out, {"command": "verify", "n": args.n, "seed": args.seed}, args.seed)
+    meta = {
+        "command": "verify",
+        "n": args.n,
+        "seed": args.seed,
+        "suite": args.suite,  # which checks ran: one, the counterexample, or all
+        "counterexample": args.counterexample,
+    }
+    write_metadata(args.out, meta, args.seed)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 

@@ -66,9 +66,9 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import _masked_gather, _nambu_matrix, _pair_tables
+from .algebra import _lie_poisson_matrix, _masked_gather, _nambu_matrix, _pair_tables
 from .errors import ConsistencyError, StepConvergenceError
-from .functionals import Functional
+from .functionals import Functional, coordinate_functional
 from .grid import (
     TWO_PI,
     ModeField,
@@ -153,9 +153,6 @@ def rhs_from_lie_poisson(grid: TruncationGrid, field: ModeField) -> ModeField:
     functional zeta_i contracted with that vector.  O(n^4) per call for
     the one N x N matrix, intended for cross checks at small n.
     """
-    from .algebra import _lie_poisson_matrix
-    from .functionals import coordinate_functional
-
     flow = _lie_poisson_matrix(grid, field) @ hamiltonian_functional(grid).gradient(field)
     out = np.empty(grid.size, dtype=np.complex128)
     for a in range(grid.size):

@@ -170,36 +170,13 @@ def _jacobi_orbit_max(s: np.ndarray, w: np.ndarray) -> float:
     every rotation forms it at row a, so the result is one of that scan's
     values: no larger, and smaller by at most the rounding spread between
     rotations.
-
-    Three (N, N) buffers are reused as flat views: t2 is gathered from
-    column a at a copy of w[a:, a:] parked in the third buffer, which then
-    holds the contiguous s[:, a:] that the row takes of t1 and t3 read.
     """
-    size = len(s)
-    b1, b2, b3 = np.empty((3, size * size))
-    index = b3.view(np.intp)
     worst = 0.0
-    # w is already in range; mode="clip" only spares take() the temporary
-    # copy of `out` that its default mode="raise" makes.
-    for a in range(size):
-        m = size - a
-        col = s[:, a].copy()
-        w_block = index[: m * m].reshape(m, m)
-        np.copyto(w_block, w[a:, a:])
-        t2 = b2[: m * m].reshape(m, m)
-        np.take(col, w_block, out=t2, mode="clip")  # s[w[i, j], a]
-        np.multiply(s[a:, a:], t2, out=t2)
-        rows = b3[: size * m].reshape(size, m)
-        np.copyto(rows, s[:, a:])
-        t1 = b1[: m * m].reshape(m, m)
-        np.take(rows, w[a, a:], axis=0, out=t1, mode="clip")  # s[w[a, i], j]
-        np.multiply(s[a, a:, None], t1, out=t1)
-        np.add(t1, t2, out=t1)
-        t3 = b2[: m * m].reshape(m, m)
-        np.take(rows, w[a:, a], axis=0, out=t3, mode="clip")  # s[w[j, a], i] at [j, i]
-        np.multiply(col[a:, None], t3, out=t3)
-        np.add(t1, t3.T, out=t1)
-        worst = _nanmax(worst, float(np.max(np.abs(t1, out=t1))))
+    for a in range(len(s)):
+        t1 = s[a, a:, None] * s[w[a, a:], a:]  # s[a, i] s[w[a, i], j]
+        t2 = s[a:, a:] * s[w[a:, a:], a]  # s[i, j] s[w[i, j], a]
+        t3 = s[a:, a, None] * s[w[a:, a], a:]  # s[j, a] s[w[j, a], i] at [j, i]
+        worst = _nanmax(worst, float(np.max(np.abs(t1 + t2 + t3.T))))
     return worst
 
 
@@ -289,14 +266,11 @@ def _nambu_antisymmetry_residual(grid: TruncationGrid) -> float:
     """
     t = _pair_tables(grid.n)
     s, nw = t.sin_cross, t.neg_wrap_index
-    size = grid.size
     swap = float(np.max(np.abs(s + s.T)))
-    rows = np.clip(nw, 0, None)
-    cycled = s[rows, np.arange(size)[:, None]]  # N_kij read back at k = -(i+j)
-    base = np.where(nw >= 0, s, 0.0)
-    cycled = np.where(nw >= 0, cycled, 0.0)
-    cyclic = float(np.max(np.abs(cycled - base)))
-    return max(swap, cyclic) / float(np.max(np.abs(s)))
+    padded = np.vstack((s, np.zeros(len(s))))  # row -1 reads 0.0
+    cycled = padded[nw, np.arange(len(s))[:, None]]  # N_kij read back at k = -(i+j)
+    cyclic = float(np.max(np.abs(cycled - np.where(nw >= 0, s, 0.0))))
+    return _nanmax(swap, cyclic) / float(np.max(np.abs(s)))
 
 
 def _rhs_equivalence_residual(grid: TruncationGrid, rng: np.random.Generator) -> float:

@@ -62,6 +62,25 @@ def test_run_writes_artifacts(tmp_path, capsys):
     assert "drift_H=" in capsys.readouterr().out
 
 
+def test_run_summary_records_the_numerical_environment(tmp_path, monkeypatch):
+    # The digits of a run depend on the numpy and BLAS builds and the BLAS thread count.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    cfg_path, _ = _write_config(tmp_path, steps=2)
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+    environment = json.loads((tmp_path / "out" / "summary.json").read_text())["environment"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert environment == {
+        "numpy_version": np.__version__,
+        "blas_name": blas["name"],
+        "blas_version": blas["version"],
+        "openblas_num_threads": "3",
+    }
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["environment"]["openblas_num_threads"] is None
+
+
 def test_run_config_hash_is_pinned():
     # Every .meta.json sidecar of a run carries this hash of as_dict().
     config = RunConfig.from_mapping(
@@ -684,6 +703,20 @@ def test_out_of_memory_is_runtime_error(tmp_path, capsys, monkeypatch, command, 
     assert main([command, *args]) == EXIT_RUNTIME
     assert capsys.readouterr().err == f"error: {message}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_verify_config_hash_names_the_checks_that_ran(tmp_path):
+    modes = {"all": ["--all"], "suite": ["--suite", "killing-form"], "ce": ["--counterexample"]}
+
+    def hashed(name, flags):
+        report = tmp_path / f"{name}.json"
+        assert main(["verify", "--n", "5", *flags, "--out", str(report)]) == EXIT_OK
+        return json.loads((tmp_path / f"{name}.json.meta.json").read_text())["config_hash"]
+
+    hashes = {name: hashed(name, flags) for name, flags in modes.items()}
+    assert len(set(hashes.values())) == 3
+    assert hashed("all", []) == hashes["all"]  # the default is --all
+    assert all(hashed(name, flags) == hashes[name] for name, flags in modes.items())
 
 
 def test_verify_counterexample_only(tmp_path, capsys):

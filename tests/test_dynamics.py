@@ -158,7 +158,7 @@ def test_rhs_from_lie_poisson_builds_one_matrix_and_matches_per_mode_brackets(n,
         built.append(1)
         return matrix(grid, field)
 
-    monkeypatch.setattr(algebra, "_lie_poisson_matrix", counted)
+    monkeypatch.setattr(dynamics, "_lie_poisson_matrix", counted)
     out = rhs_from_lie_poisson(grid, field).coeffs
     assert len(built) == 1
     assert np.array_equal(out, reference)

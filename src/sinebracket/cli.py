@@ -237,7 +237,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             steps=config.steps,
             record_every=config.record_every,
         )
-    except (OSError, json.JSONDecodeError, ValidationError, TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -342,7 +342,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
             pairs = list(DEFAULT_CONVERGENCE_PAIRS)
         n_list = tuple(int(x) for x in args.n_list.split(","))
         report = run_convergence_study(pairs, n_list=n_list)
-    except (OSError, ValidationError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

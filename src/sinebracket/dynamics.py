@@ -12,8 +12,9 @@ side are provided and must agree to rounding:
 * :func:`rhs_naive`             direct double sum, O(n^4), the reference;
 * :func:`rhs_nambu`             contraction of the Nambu tensor with both
                                 gradients;
-* :func:`rhs_from_lie_poisson`  {zeta_i, H} mode by mode through the
-                                functional machinery;
+* :func:`rhs_from_lie_poisson`  {zeta_i, H}, the Lie-Poisson matrix of
+                                the field times the energy functional's
+                                gradient;
 * :func:`rhs_fast`              matrix-commutator form with one matmul,
                                 O(n^3); the production route.
 
@@ -68,7 +69,7 @@ import numpy as np
 
 from .algebra import _lie_poisson_matrix, _masked_gather, _nambu_matrix, _pair_tables
 from .errors import ConsistencyError, StepConvergenceError
-from .functionals import Functional, coordinate_functional
+from .functionals import Functional
 from .grid import (
     TWO_PI,
     ModeField,
@@ -144,21 +145,14 @@ def rhs_nambu(grid: TruncationGrid, field: ModeField) -> ModeField:
 
 
 def rhs_from_lie_poisson(grid: TruncationGrid, field: ModeField) -> ModeField:
-    """Tendency assembled mode by mode as {zeta_i, H}; verification route.
+    """Tendency as the Lie-Poisson flow {zeta_i, H} = M_ij dH/dzeta_j; verification route.
 
-    Deliberately goes through the functional machinery (coordinate
-    observables against the energy) rather than any shared assembly.
-    The Lie-Poisson matrix M of the field and the vector M.grad(H) are
-    built once per call; entry i is the gradient of the coordinate
-    functional zeta_i contracted with that vector.  O(n^4) per call for
-    the one N x N matrix, intended for cross checks at small n.
+    One N x N Lie-Poisson matrix M of the field times the energy gradient,
+    taken through the functional interface rather than any assembly shared
+    with the other routes.  O(n^4) per call, intended for cross checks at
+    small n.
     """
-    flow = _lie_poisson_matrix(grid, field) @ hamiltonian_functional(grid).gradient(field)
-    out = np.empty(grid.size, dtype=np.complex128)
-    for a in range(grid.size):
-        coord = coordinate_functional(grid, grid.vector_at(a))
-        out[a] = coord.gradient(field) @ flow
-    return ModeField(grid, out)
+    return ModeField(grid, _lie_poisson_matrix(grid, field) @ hamiltonian_functional(grid).gradient(field))
 
 
 class _WeylTables:

@@ -15,11 +15,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebra import GENERIC_DIMENSION_CAP, ViolationTable
+from .algebra import GENERIC_DIMENSION_CAP
 from .dynamics import DiagnosticsRecord
 from .errors import ValidationError
 from .grid import ModeField, build_grid
-from .verify import CheckReport
 
 __all__ = [
     "save_mode_field",
@@ -59,11 +58,12 @@ def _read_rows(path, header: Sequence[str], parse, what: str, optional: bool = F
     """``parse(row)`` for each non-empty row of the CSV file ``path``.
 
     The file opens with the ``header`` line, unless ``header`` is empty or
-    ``optional`` (then a row whose first cell is ``i`` or ``i1`` is a header
-    and skipped).  Every row is as wide as the header, or as the first row
-    when there is none.  A row that is not, a row that ``parse`` refuses
-    with ``ValueError``, and a file without rows raise
-    :class:`ValidationError` naming the file (and the line).
+    ``optional``: then the first non-empty row, and no later one, is a
+    header and skipped when its first cell is ``i`` or ``i1``.  Every row
+    is as wide as the header, or as the first row when there is none.  A
+    row that is not, a row that ``parse`` refuses with ``ValueError``, and a
+    file without rows raise :class:`ValidationError` naming the file (and
+    the line).
     """
     rows, width = [], len(header)
     with open(path, encoding="utf-8", newline="") as fh:
@@ -73,8 +73,12 @@ def _read_rows(path, header: Sequence[str], parse, what: str, optional: bool = F
             if found != tuple(header):
                 raise ValidationError(f"{path}: header {found!r}, expected {','.join(header)}")
         for row in reader:
-            if not row or (optional and row[0].strip().lower() in ("i", "i1")):
+            if not row:
                 continue
+            if optional:
+                optional = False
+                if row[0].strip().lower() in ("i", "i1"):
+                    continue
             width = width or len(row)
             try:
                 if len(row) != width:
@@ -151,8 +155,8 @@ def load_diagnostics(path) -> list[DiagnosticsRecord]:
 _VIOLATION_BLOCK = 1 << 16
 
 
-def save_violations(path, violations: ViolationTable) -> None:
-    """Flat index-tuple rows; order follows the scan's enumeration.
+def save_violations(path, violations) -> None:
+    """Flat index-tuple rows of a scan's ``ViolationTable``, in its enumeration order.
 
     Each triple's text ``"c1,...,c6,"`` and the ``repr`` of each of the V
     distinct residuals (by bit pattern, so -0.0 keeps its sign) are built
@@ -226,8 +230,8 @@ def load_wave_vector_pairs(path) -> list[tuple[tuple[int, int], tuple[int, int]]
     )
 
 
-def save_convergence_table(path, report: CheckReport) -> None:
-    """Per pair: error and bracket difference at each n, exponent (empty if collinear)."""
+def save_convergence_table(path, report) -> None:
+    """Per pair of the study's report: error and bracket diff per n, exponent (empty if collinear)."""
     sizes = report.params["n_list"]
     header = (
         ["i1", "i2", "j1", "j2"]
@@ -251,31 +255,22 @@ def save_convergence_table(path, report: CheckReport) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _json_ready(obj):
-    if isinstance(obj, Mapping):
-        return {str(k): _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(x) for x in obj]
-    if isinstance(obj, np.ndarray):
-        return [_json_ready(x) for x in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _json_default(obj):
+    """numpy arrays and scalars as plain lists and values; the ``default`` of ``json``."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path, payload) -> None:
     with _open_write(path) as fh:
-        json.dump(_json_ready(payload), fh, indent=2)
+        json.dump(payload, fh, indent=2, default=_json_default)
         fh.write("\n")
 
 
 def config_hash(config: Mapping) -> str:
     """sha256 over the canonical JSON rendering of a configuration."""
-    canonical = json.dumps(_json_ready(config), sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"), default=_json_default)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

@@ -766,6 +766,16 @@ def test_converge_pairs_file_with_collinear_row(tmp_path, capsys):
     assert rows[2][-1] == ""  # collinear pair carries no exponent
 
 
+def test_converge_refuses_a_stray_header_row(tmp_path, capsys):
+    # a header-like row among the pairs is refused, not skipped: no pair given is lost
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("i1,i2,j1,j2\n1,0,0,1\ni1,2,3,4\n1,1,2,-1\n")
+    code = main(["converge", "--pairs", str(pairs), "--n-list", "11,21", "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert f"error: {pairs}, line 3: " in capsys.readouterr().err
+    assert not (tmp_path / "convergence.csv").exists()
+
+
 def test_converge_usage_errors(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

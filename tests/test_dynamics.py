@@ -31,7 +31,7 @@ from sinebracket.dynamics import (
     step,
 )
 from sinebracket.errors import ConsistencyError, StepConvergenceError, ValidationError
-from sinebracket.functionals import coordinate_functional
+from sinebracket.functionals import Functional, coordinate_functional
 from sinebracket.grid import (
     MAX_TRUNCATION,
     ModeField,
@@ -162,6 +162,28 @@ def test_rhs_from_lie_poisson_builds_one_matrix_and_matches_per_mode_brackets(n,
     out = rhs_from_lie_poisson(grid, field).coeffs
     assert len(built) == 1
     assert np.array_equal(out, reference)
+
+
+def test_rhs_from_lie_poisson_takes_one_gradient_and_one_matrix(monkeypatch):
+    # One energy gradient and one Lie-Poisson matrix per call, however many modes.
+    grid = build_grid(5)
+    field = _band_field(grid, seed=5)
+    gradients, matrices = [], []
+    gradient, matrix = Functional.gradient, algebra._lie_poisson_matrix
+
+    def counted_gradient(self, field):
+        gradients.append(self.name)
+        return gradient(self, field)
+
+    def counted_matrix(grid, field):
+        matrices.append(1)
+        return matrix(grid, field)
+
+    monkeypatch.setattr(Functional, "gradient", counted_gradient)
+    monkeypatch.setattr(dynamics, "_lie_poisson_matrix", counted_matrix)
+    rhs_from_lie_poisson(grid, field)
+    assert gradients == ["hamiltonian"]
+    assert len(matrices) == 1
 
 
 def test_rhs_fast_matches_naive_large_truncation():

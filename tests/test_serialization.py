@@ -264,6 +264,28 @@ def test_load_wave_vector_pairs(tmp_path):
         load_wave_vector_pairs(path)
 
 
+@pytest.mark.parametrize(
+    "load, header, row, stray",
+    [
+        (load_wave_vector_pairs, "i1,i2,j1,j2", "1,0,0,1", "i1,2,3,4"),
+        (load_generic_constants, "i,j,k,value", "0,1,2,1.0", "i,1,2,1.0"),
+    ],
+)
+def test_optional_header_is_only_the_first_non_empty_row(tmp_path, load, header, row, stray):
+    # only the first non-empty row may be a header; a later header-like row is a bad row
+    path = tmp_path / "input.csv"
+    path.write_text(f"{row}\n")
+    bare = load(path)
+    path.write_text(f"\n{header}\n{row}\n")
+    assert np.array_equal(load(path), bare)
+    path.write_text(f"{header}\n{row}\n{stray}\n")
+    with pytest.raises(ValidationError, match=re.escape(f"{path}, line 3: ")):
+        load(path)
+    path.write_text(f"{row}\n{header}\n")
+    with pytest.raises(ValidationError, match=re.escape(f"{path}, line 2: ")):
+        load(path)
+
+
 # ---------------------------------------------------------------------------
 # pinned bytes of every CSV writer, on literal inputs
 # ---------------------------------------------------------------------------

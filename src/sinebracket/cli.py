@@ -24,7 +24,9 @@ unset and 8.738e-11 with it set to 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import resource
 import sys
@@ -354,7 +356,11 @@ def cmd_converge(args: argparse.Namespace) -> int:
     meta = {"command": "converge", "pairs": [list(map(list, p)) for p in pairs], "n_list": list(sizes)}
     summary = {
         "n_list": sizes,
-        "exponents": [row["exponent"] for row in report.params["pairs"]],
+        # null for a collinear pair, and for a non-finite fit, which fails the study
+        "exponents": [
+            None if e is None or not math.isfinite(e) else e
+            for e in (row["exponent"] for row in report.params["pairs"])
+        ],
         "passed": report.passed,
         "runtime_s": report.runtime_s,
         "peak_rss_mb": _peak_rss_mb(),
@@ -389,7 +395,7 @@ def cmd_jacobi_scan(args: argparse.Namespace) -> int:
     summary = {
         "params": p,
         "passed": report.passed,
-        "max_residual": report.max_residual,
+        "max_residual": report.to_dict()["max_residual"],
         "tolerance": report.tolerance,
         "runtime_s": report.runtime_s,
         "stage_s": stage_s,
@@ -453,9 +459,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing leaves the parser as it was, so one serves every call of main().
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (OSError, MemoryError, ConsistencyError, StepConvergenceError) as exc:

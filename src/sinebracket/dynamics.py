@@ -67,6 +67,12 @@ from typing import Callable
 
 import numpy as np
 
+# The gufuncs that np.fft.fft and np.fft.ifft(a, axis=-1, norm="forward", out=out)
+# end in, numpy.fft._pocketfft_umath.fft/ifft(a, fct, axes=[(axis,), (), (axis,)],
+# out=out) with the scale fct = 1/n forward and 1 back; called directly, a
+# transform skips the wrapper's checks, most of its cost at n = 21.
+from numpy.fft._pocketfft_umath import fft as _fft, ifft as _ifft
+
 from .algebra import _lie_poisson_matrix, _masked_gather, _nambu_matrix, _pair_tables
 from .errors import ConsistencyError, StepConvergenceError
 from .functionals import Functional
@@ -196,11 +202,12 @@ class _WeylTables:
         norms2 = c**2 + signed[None, :] ** 2
         self.stream = np.zeros((m + 1, n), dtype=np.complex128)
         self.stream[norms2 > 0] = (-0.25j * n / np.pi) / norms2[norms2 > 0]
-        # invariants: H and E weights on the squared floats of the half table,
-        # 1 in row 0, 2 in rows whose mirrors it omits, 0 at the trace, /|k|^2 for H.
+        # invariants: H and E weights on the squared floats of a half table,
+        # 1 in row 0, 2 in rows whose mirrors it omits, 0 at the trace, /|k|^2
+        # for H; shaped (2, 1, .) to broadcast over a stack of tables.
         weight = np.where(c > 0, 2.0, 1.0) * (norms2 > 0)
         pair = np.repeat([weight / np.maximum(norms2, 1), weight], 2, axis=-1)
-        self.invariant_weights = pair.reshape(2, -1)
+        self.invariant_weights = pair.reshape(2, 1, -1)
         # lower: retained k in canonical order read from the half table,
         # at (k2, k1) when k2 >= 0 and conjugated from -k otherwise.
         v = build_grid(n).vectors
@@ -238,6 +245,9 @@ def _workspace(n: int) -> _Workspace:
     return _Workspace(n)
 
 
+_LAST_AXIS = [(-1,), (), (-1,)]  # the axes of _fft and _ifft: input, scale, output
+
+
 # take buffers ``out`` under its default mode="raise"; the gather indices
 # are in range, so mode="clip" gives the same result without it.  The
 # ndarray method skips np.take's dispatch, about half a gather at n = 21.
@@ -252,7 +262,7 @@ def _to_weyl_matrix(n: int, table: np.ndarray, out: np.ndarray) -> np.ndarray:
     """
     m = (n - 1) // 2
     half = table[: m + 1]
-    np.fft.ifft(half, axis=1, norm="forward", out=half)
+    _ifft(half, 1.0, axes=_LAST_AXIS, out=half)
     half[0].real = 0.0  # the main diagonal is imaginary; drop its rounding
     mirror = np.conjugate(table[1 : m + 1], out=table[m + 1 :]).view(np.float64)
     np.negative(mirror, out=mirror)
@@ -264,11 +274,14 @@ def _from_weyl_matrix(n: int, matrix: np.ndarray, out: np.ndarray) -> np.ndarray
 
     Returns those rows, the coefficients c_k phase_k of the matrix in the
     layout :func:`_to_weyl_matrix` reads; the other modes follow from
-    c_{-k} = conj(c_k).
+    c_{-k} = conj(c_k).  A stack of matrices, shape (B, n, n), gives the
+    stack of their tables in ``out`` of shape (B, (n+1)/2, n), by one
+    gather and one FFT, each table bitwise the one of its matrix alone.
     """
     t = _weyl_tables(n)
-    half = matrix.ravel().take(t.from_matrix, out=out[: len(t.from_matrix)], mode="clip")
-    np.fft.fft(half, axis=1, norm="forward", out=half)
+    flat = matrix.reshape(matrix.shape[:-2] + (n * n,))
+    half = flat.take(t.from_matrix, axis=-1, out=out[..., : len(t.from_matrix), :], mode="clip")
+    _fft(half, 1.0 / n, axes=_LAST_AXIS, out=half)
     return half
 
 
@@ -306,14 +319,22 @@ def lower(w: np.ndarray) -> ModeField:
     return ModeField(grid, 0.5 * (y + np.conj(y[grid.neg_index])))
 
 
-def _matrix_invariants(w: np.ndarray) -> tuple[float, float]:
-    """(H, E) of a Hermitian matrix, grid._invariants(lower(w)) to rounding: the weighted
-    squares |c_k phase_k|^2 = zeta_k zeta_{-k} of its half table, summed as np.sum does."""
-    n = len(w)
-    squares = _from_weyl_matrix(n, w, out=_workspace(n).spectral).view(np.float64)
+def _stack_invariants(stack: np.ndarray, out: np.ndarray) -> tuple[list, list]:
+    """H and E of each Hermitian matrix of a (B, n, n) stack, as two lists of floats.
+
+    They are grid._invariants(lower(w)) of each matrix w to rounding: the
+    weighted squares |c_k phase_k|^2 = zeta_k zeta_{-k} of its half table,
+    summed per matrix as np.sum does.  ``out``, of shape (B, (n+1)/2, n),
+    takes the tables.  Each matrix's values are bitwise those of it alone.
+    """
+    n = stack.shape[-1]
+    squares = _from_weyl_matrix(n, stack, out=out).view(np.float64)
     np.square(squares, out=squares)
-    h, e = np.add.reduce(_weyl_tables(n).invariant_weights * squares.ravel(), axis=-1).tolist()
-    return 0.5 * TWO_PI**2 * h, 0.5 * TWO_PI**2 * e
+    weighted = _weyl_tables(n).invariant_weights * squares.reshape(len(stack), -1)
+    sums = np.add.reduce(weighted, axis=-1)
+    sums *= 0.5 * TWO_PI**2
+    h, e = sums.tolist()
+    return h, e
 
 
 def rhs_fast(grid: TruncationGrid, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -528,9 +549,14 @@ _SMOOTH_WEIGHTS = np.array([
 _SMOOTH_MAX_CALLS = 2
 # The same weights per ring slot of integrate(), keyed by the slot of the
 # newest state in each ring: nine for the ring of recent states, and the
-# other eleven for the ring of the older states that leave it.
+# other eleven for the ring of the older states that leave it.  They are
+# stored complex, the type a product with a ring is taken in, so that the
+# product does not cast them at every step; the cast is exact.
 _SMOOTH_RECENT, _SMOOTH_OLDER = (
-    [part[(newest - np.arange(len(part))) % len(part)] for newest in range(len(part))]
+    [
+        part[(newest - np.arange(len(part))) % len(part)].astype(np.complex128)
+        for newest in range(len(part))
+    ]
     for part in np.split(_SMOOTH_WEIGHTS, [_GUESS_ORDER + 1])
 )
 
@@ -540,9 +566,88 @@ def _drift(value: float, initial: float) -> float:
     return abs(value - initial) / max(abs(initial), 1e-300) if initial != 0.0 else abs(value)
 
 
+def _records(times, stack: np.ndarray, out: np.ndarray, h0: float, e0: float) -> list:
+    """The DiagnosticsRecord of each matrix of ``stack`` at its time, H and E read off the
+    matrix (a record lowers nothing); ``out`` takes the half tables."""
+    hs, es = _stack_invariants(stack, out)
+    return [
+        DiagnosticsRecord(t, h, e, _drift(h, h0), _drift(e, e0)) for t, h, e in zip(times, hs, es)
+    ]
+
+
 def _record(time: float, w: np.ndarray, h0: float, e0: float) -> DiagnosticsRecord:
-    h, e = _matrix_invariants(w)  # off W: a record lowers nothing
-    return DiagnosticsRecord(time, h, e, _drift(h, h0), _drift(e, e0))
+    """The record of one matrix alone, which each record of a batch equals bitwise."""
+    m = (len(w) - 1) // 2
+    return _records([time], w[None], np.empty((1, m + 1, len(w)), dtype=np.complex128), h0, e0)[0]
+
+
+# Bytes of recorded states that a run holds before it reads their H and E as
+# one stack: 18 states at n = 21, one from n = 81 on.  At small n a batch
+# saves most of a record's cost, the per-call overhead of the gather, the FFT
+# and the sum; at n >= 81 it saves nothing, and held states would only add
+# to the peak memory.
+_RECORD_BYTES = 1 << 17
+# A record whose H or E has moved from its value at t = 0 by more than this,
+# relatively, ends the run as diverged.  The benchmark's stable RK4 runs
+# drift by under 1e-5, so this is no tolerance on a scheme's drift.
+_DIVERGED_DRIFT = 1.0
+
+
+class _Recorder:
+    """The diagnostics records of one run, read off W in batches.
+
+    It records t = 0 on construction, and :meth:`after_step` the state of
+    every ``record_every``-th step and of the last one.  A recorded state is
+    copied into a buffer of as many matrices as fit ``_RECORD_BYTES`` (at
+    least one); a full buffer and :meth:`flush` turn the buffered states
+    into records, in order.  A record whose H or E is non-finite, or drifts
+    by more than ``_DIVERGED_DRIFT``, raises :class:`ConsistencyError` naming
+    its own time.  Used under ``np.errstate(over="ignore")``: an overflowing
+    H or E is reported as non-finite.
+    """
+
+    def __init__(self, w: np.ndarray, config: IntegratorConfig):
+        n, m = len(w), (len(w) - 1) // 2
+        size = max(1, _RECORD_BYTES // w.nbytes)
+        self.states = np.empty((size, n, n), dtype=np.complex128)
+        self.tables = np.empty((size, m + 1, n), dtype=np.complex128)
+        self.every, self.last = config.record_every, config.steps
+        self.times: list[float] = []
+        (self.h0,), (self.e0,) = _stack_invariants(w[None], self.tables[:1])
+        self.records = [DiagnosticsRecord(0.0, self.h0, self.e0, 0.0, 0.0)]
+        self._check(self.records)
+
+    def after_step(self, s: int, t: float, w: np.ndarray) -> None:
+        """Record ``w``, the state at time ``t`` after step ``s``, if step ``s`` is recorded."""
+        if s % self.every and s != self.last:
+            return
+        self.states[len(self.times)] = w
+        self.times.append(t)
+        if len(self.times) == len(self.states):
+            self.flush()
+
+    def flush(self) -> list[DiagnosticsRecord]:
+        """Turn the buffered states into records; returns every record so far."""
+        times, k = self.times, len(self.times)
+        if k:
+            self.times = []
+            batch = _records(times, self.states[:k], self.tables[:k], self.h0, self.e0)
+            self._check(batch)
+            self.records += batch
+        return self.records
+
+    @staticmethod
+    def _check(batch: list[DiagnosticsRecord]) -> None:
+        for r in batch:
+            if not (math.isfinite(r.energy) and math.isfinite(r.enstrophy)):
+                raise ConsistencyError(
+                    f"H or E is non-finite at t={r.time!r} (H={r.energy!r}, E={r.enstrophy!r})"
+                )
+            if max(r.drift_energy, r.drift_enstrophy) > _DIVERGED_DRIFT:
+                raise ConsistencyError(
+                    f"diverged at t={r.time!r}: H and E drifted by {r.drift_energy:.3g} and "
+                    f"{r.drift_enstrophy:.3g} from t = 0, more than {_DIVERGED_DRIFT!r}"
+                )
 
 
 def integrate(
@@ -558,9 +663,14 @@ def integrate(
     Hermitian matrix W, records read H and E (and their drifts from t = 0)
     off W, and W is lowered to modes once, for the returned field.
     Finiteness is checked after every step, where a non-finite state raises
-    :class:`ConsistencyError`; a :class:`StepConvergenceError` or
+    :class:`ConsistencyError` (a midpoint step is finite when its solve
+    returns, so only the other schemes' states are checked); a :class:`StepConvergenceError` or
     :class:`ConsistencyError` of a step is raised again with the time the
-    step started from.  The final step is always recorded.  An implicit
+    step started from.  The final step is always recorded, and the records
+    are read in batches by a :class:`_Recorder`: a record with non-finite H
+    or E, or with a drift of either above ``_DIVERGED_DRIFT``, raises
+    :class:`ConsistencyError` with its own time, also when a later step
+    fails before its batch is read.  An implicit
     midpoint solve starts from the extrapolation of up to
     ``_GUESS_ORDER + 1`` states of this run, or, when the previous step
     made at most ``_SMOOTH_MAX_CALLS`` rhs calls and 20 states are kept,
@@ -573,8 +683,6 @@ def integrate(
     """
     validate_reality(field, tol=1e-10)
     w, t = lift(field), 0.0
-    h0, e0 = _matrix_invariants(w)
-    records = [DiagnosticsRecord(0.0, h0, e0, 0.0, 0.0)]
     counts = RhsCounts() if counts is None else counts
 
     def counted(grid: TruncationGrid, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -598,41 +706,48 @@ def integrate(
     if implicit:
         history = np.empty((_GUESS_ORDER + 1, w.size), dtype=np.complex128)
         history[0] = w.ravel()
-    # Overflow shows up as a non-finite state and is reported as such.
+    # Overflow shows up as a non-finite state or record and is reported as such.
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(1, config.steps + 1):
-            before = counts.calls
-            guess = None
-            if moved >= len(_SMOOTH_OLDER) and made <= _SMOOTH_MAX_CALLS:
-                guess = _SMOOTH_RECENT[(s - 1) % len(history)] @ history
-                guess += _SMOOTH_OLDER[(s - 1) % len(older)] @ older
-                guess = guess.reshape(w.shape)
-                counts.smoothed_guess_steps += 1
-            elif implicit and kept > 1:
-                weights = _SLOT_WEIGHTS[kept, (s - 1) % len(history)]
-                guess = (weights @ history[:kept]).reshape(w.shape)
-            try:
-                w = step(w, config, counted, guess)
-            except (StepConvergenceError, ConsistencyError) as exc:
-                raise type(exc)(f"{exc} at t={t!r}") from exc
-            t += config.dt
-            made = counts.calls - before
-            counts.steps += 1
-            counts.max_per_step = max(counts.max_per_step, made)
-            if not np.isfinite(w).all():
-                raise ConsistencyError(
-                    f"vorticity matrix has non-finite entries after step {s} (t={t!r})"
-                )
-            if implicit:
-                if older is None and made <= _SMOOTH_MAX_CALLS:
-                    older = np.empty((len(_SMOOTH_OLDER), w.size), dtype=np.complex128)
-                if older is not None and kept == len(history):
-                    older[s % len(older)] = history[s % len(history)]
-                    moved += 1
-                history[s % len(history)] = w.ravel()
-                kept = min(kept + 1, len(history))
-            if s % config.record_every == 0 or s == config.steps:
-                records.append(_record(t, w, h0, e0))
+        recorder = _Recorder(w, config)
+        try:
+            for s in range(1, config.steps + 1):
+                before = counts.calls
+                guess = None
+                if moved >= len(_SMOOTH_OLDER) and made <= _SMOOTH_MAX_CALLS:
+                    guess = _SMOOTH_RECENT[(s - 1) % len(history)] @ history
+                    guess += _SMOOTH_OLDER[(s - 1) % len(older)] @ older
+                    guess = guess.reshape(w.shape)
+                    counts.smoothed_guess_steps += 1
+                elif implicit and kept > 1:
+                    weights = _SLOT_WEIGHTS[kept, (s - 1) % len(history)]
+                    guess = (weights @ history[:kept]).reshape(w.shape)
+                try:
+                    w = step(w, config, counted, guess)
+                except (StepConvergenceError, ConsistencyError) as exc:
+                    raise type(exc)(f"{exc} at t={t!r}") from exc
+                t += config.dt
+                made = counts.calls - before
+                counts.steps += 1
+                counts.max_per_step = max(counts.max_per_step, made)
+                # A midpoint state needs no check: _solve returns only after a
+                # finite update, and a finite difference has two finite terms.
+                if not implicit and not np.isfinite(w).all():
+                    raise ConsistencyError(
+                        f"vorticity matrix has non-finite entries after step {s} (t={t!r})"
+                    )
+                if implicit:
+                    if older is None and made <= _SMOOTH_MAX_CALLS:
+                        older = np.empty((len(_SMOOTH_OLDER), w.size), dtype=np.complex128)
+                    if older is not None and kept == len(history):
+                        older[s % len(older)] = history[s % len(history)]
+                        moved += 1
+                    history[s % len(history)] = w.ravel()
+                    kept = min(kept + 1, len(history))
+                recorder.after_step(s, t, w)
+        except (StepConvergenceError, ConsistencyError):
+            recorder.flush()  # a buffered record may have diverged before the failing step
+            raise
+        records = recorder.flush()
     # The caller writes the run's outputs next; a workspace still held
     # would add to the peak memory of that.
     _workspace.cache_clear()

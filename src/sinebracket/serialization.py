@@ -2,7 +2,8 @@
 
 All writers are byte-deterministic for a fixed input: rows follow the
 canonical grid order, floats are rendered with ``repr`` (shortest
-round-trip form), and line endings are pinned to ``\\n``.
+round-trip form), and line endings are pinned to ``\\n``.  JSON is strict:
+a NaN or an infinity is refused, never written as ``NaN`` or ``Infinity``.
 """
 
 from __future__ import annotations
@@ -48,10 +49,20 @@ def _open_write(path):
 
 
 def _write_rows(fh, header, rows) -> None:
-    """The header line, if any, then one line per row of ints and floats (``None`` empty)."""
+    """The header line, if any, then one line per row, a tuple of ints, floats and strings.
+
+    Every row goes through one template ``"%s,...,%s\\n"`` as wide as the
+    first: ``str`` of an int or a float is its ``repr`` (for a float the
+    shortest round-trip form), and a string is written as it is.
+    """
     if header:
         fh.write(",".join(header) + "\n")
-    fh.writelines(",".join("" if x is None else repr(x) for x in row) + "\n" for row in rows)
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None:
+        line = ",".join(["%s"] * len(first)) + "\n"
+        fh.write(line % first)
+        fh.writelines(line % row for row in rows)
 
 
 def _read_rows(path, header: Sequence[str], parse, what: str, optional: bool = False) -> list:
@@ -129,7 +140,7 @@ def save_physical_field(path, values: np.ndarray) -> None:
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValidationError(f"physical field must be square, got shape {values.shape}")
     with _open_write(path) as fh:
-        _write_rows(fh, None, values.tolist())
+        _write_rows(fh, None, map(tuple, values.tolist()))
 
 
 def load_physical_field(path) -> np.ndarray:
@@ -140,9 +151,13 @@ def load_physical_field(path) -> np.ndarray:
 
 
 def save_diagnostics(path, records: Sequence[DiagnosticsRecord]) -> None:
-    rows = ((r.time, r.energy, r.enstrophy, r.drift_energy, r.drift_enstrophy) for r in records)
+    rows = (
+        (float(r.time), float(r.energy), float(r.enstrophy), float(r.drift_energy),
+         float(r.drift_enstrophy))
+        for r in records
+    )
     with _open_write(path) as fh:
-        _write_rows(fh, DIAGNOSTICS_HEADER, (map(float, row) for row in rows))
+        _write_rows(fh, DIAGNOSTICS_HEADER, rows)
 
 
 def load_diagnostics(path) -> list[DiagnosticsRecord]:
@@ -240,10 +255,10 @@ def save_convergence_table(path, report) -> None:
         + ["exponent"]
     )
     rows = (
-        [*row["pair"][0], *row["pair"][1]]
-        + [row["errors"][str(n)] for n in sizes]
-        + [row["bracket_diffs"][str(n)] for n in sizes]
-        + [row["exponent"]]
+        (*row["pair"][0], *row["pair"][1])
+        + tuple(row["errors"][str(n)] for n in sizes)
+        + tuple(row["bracket_diffs"][str(n)] for n in sizes)
+        + ("" if row["exponent"] is None else row["exponent"],)
         for row in report.params["pairs"]
     )
     with _open_write(path) as fh:
@@ -263,9 +278,10 @@ def _json_default(obj):
 
 
 def write_json(path, payload) -> None:
+    """``payload`` as strict JSON: a NaN or an infinity raises ``ValueError`` before any file opens."""
+    text = json.dumps(payload, indent=2, default=_json_default, allow_nan=False)
     with _open_write(path) as fh:
-        json.dump(payload, fh, indent=2, default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def config_hash(config: Mapping) -> str:

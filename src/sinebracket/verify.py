@@ -76,7 +76,11 @@ class CheckReport:
     runtime_s: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The report as JSON values; a non-finite residual, which fails its check, is None."""
+        d = asdict(self)
+        if not math.isfinite(self.max_residual):
+            d["max_residual"] = None
+        return d
 
 
 def _report(

@@ -399,6 +399,37 @@ def test_run_blow_up_is_runtime_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _strict_json(path):
+    """The JSON document at ``path``; NaN, Infinity and -Infinity are refused."""
+    def refuse(constant):
+        raise ValueError(f"{path}: non-standard JSON constant {constant}")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "steps, record_every, message",
+    [
+        (10, 1, "diverged at t=0.18: "),  # exited 0 with drift_H = 43
+        (12, 1, "diverged at t=0.18: "),  # exited 0 with inf in diagnostics.csv and summary.json
+        (12, 12, "H or E is non-finite at t=0.23999999999999996 "),  # W itself is still finite
+    ],
+)
+def test_run_diverged_record_is_runtime_error(tmp_path, capsys, steps, record_every, message):
+    cfg_path, _ = _write_config(
+        tmp_path, n=81, scheme="rk4", dt=2e-2, steps=steps, record_every=record_every, seed=3,
+        initial_condition={"type": "shell", "shell_min": 1.0, "shell_max": 4.0, "amplitude": 6.0},
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert not caught
+    assert len(err.splitlines()) == 1 and err.startswith("error: integration failed: " + message)
+    assert not (tmp_path / "out").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_run_midpoint_blow_up_fails_fast(tmp_path, capsys):
     cfg_path, _ = _write_config(
         tmp_path,
@@ -719,6 +750,18 @@ def test_verify_config_hash_names_the_checks_that_ran(tmp_path):
     assert all(hashed(name, flags) == hashes[name] for name, flags in modes.items())
 
 
+def test_verify_nan_residual_is_null_beside_its_fail_verdict(tmp_path, capsys, monkeypatch):
+    from sinebracket import verify
+
+    monkeypatch.setattr(verify, "_table_antisymmetry_residual", lambda grid: float("nan"))
+    out = tmp_path / "report.json"
+    argv = ["verify", "--n", "5", "--suite", "alpha-antisymmetry", "--out", str(out)]
+    assert main(argv) == EXIT_CHECK_FAILED
+    [report] = _strict_json(out)["reports"]
+    assert report["max_residual"] is None and report["passed"] is False
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_verify_counterexample_only(tmp_path, capsys):
     report = tmp_path / "ce.json"
     code = main(["verify", "--n", "7", "--counterexample", "--out", str(report)])
@@ -797,6 +840,23 @@ def test_converge_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_converge_non_finite_exponent_is_null_beside_its_failed_verdict(tmp_path, monkeypatch):
+    from sinebracket import verify
+
+    exact = verify.alpha_zeitlin
+    monkeypatch.setattr(
+        verify, "alpha_zeitlin",
+        lambda grid, i, j, k: float("nan") if tuple(i) == (1, 1) else exact(grid, i, j, k),
+    )
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("1,0,0,1\n1,1,-1,2\n")
+    argv = ["converge", "--pairs", str(pairs), "--n-list", "11,21", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_CHECK_FAILED
+    summary = _strict_json(tmp_path / "convergence_summary.json")
+    assert summary["passed"] is False
+    assert summary["exponents"][0] == pytest.approx(2.0, abs=0.2) and summary["exponents"][1] is None
+
+
 # ---------------------------------------------------------------------------
 # jacobi-scan
 # ---------------------------------------------------------------------------
@@ -852,7 +912,8 @@ def test_jacobi_scan_without_the_known_tuple_fails(tmp_path, capsys, monkeypatch
     assert main(["jacobi-scan", "--n", "5", "--out", str(tmp_path)]) == EXIT_CHECK_FAILED
     assert "known counterexample tuple: MISSING (residual None)" in capsys.readouterr().out
     summary = json.loads((tmp_path / "scan_summary.json").read_text(encoding="utf-8"))
-    assert summary["passed"] is False and summary["max_residual"] == float("inf")
+    # the infinite residual of the missing tuple is null in strict JSON
+    assert summary["passed"] is False and summary["max_residual"] is None
     assert summary["params"]["violations_raw"] == 211199
 
 
@@ -870,6 +931,16 @@ def test_missing_subcommand_is_parser_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls():
+    from sinebracket import cli
+
+    assert cli._parser() is cli._parser()
+    first = cli._parser().parse_args(["run", "--config", "a.json", "--dt", "0.5"])
+    second = cli._parser().parse_args(["run", "--config", "b.json"])
+    assert (first.config, first.dt) == ("a.json", 0.5)
+    assert (second.config, second.dt, second.steps) == ("b.json", None, None)
 
 
 def test_check_failure_maps_to_exit_one(tmp_path):

@@ -322,17 +322,17 @@ def test_rhs_fast_transforms_only_the_half_table(n, monkeypatch):
     # so one call transforms ((n+1)/2) n entries each way, not n^2.
     grid = build_grid(n)
     w = lift(_random_real_field(grid, seed=n))
-    sizes = {"fft": [], "ifft": []}
+    sizes = {"_fft": [], "_ifft": []}
     for name in sizes:
-        original = getattr(np.fft, name)
+        original = getattr(dynamics, name)
 
         def counting(a, *args, _name=name, _original=original, **kwargs):
             sizes[_name].append(np.size(a))
             return _original(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.fft, name, counting)
+        monkeypatch.setattr(dynamics, name, counting)
     rhs_fast(grid, w)
-    assert sizes == {"fft": [(n + 1) // 2 * n], "ifft": [(n + 1) // 2 * n]}
+    assert sizes == {"_fft": [(n + 1) // 2 * n], "_ifft": [(n + 1) // 2 * n]}
 
 
 @pytest.mark.parametrize("n", [5, 21])
@@ -433,20 +433,21 @@ def test_integrate_zero_steps_is_identity():
 @pytest.mark.parametrize("scheme", ["rk4", "implicit_midpoint"])
 def test_integrate_lowers_once_per_run(monkeypatch, scheme):
     # Records read W, so a run lowers only its final state; every record,
-    # the one at t = 0 included, takes one from-Weyl transform.
+    # the one at t = 0 included, takes one from-Weyl transform of its
+    # matrix, though records transform their matrices in stacks.
     calls = {"lower": 0, "_from_weyl_matrix": 0}
 
-    def counting(name):
+    def counting(name, matrices):
         inner = getattr(dynamics, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += matrices(*args)
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, name, wrapper)
 
-    counting("lower")
-    counting("_from_weyl_matrix")
+    counting("lower", lambda w: 1)
+    counting("_from_weyl_matrix", lambda n, matrix, *_: matrix.size // (n * n))
     field = _band_field(build_grid(7), seed=4, amplitude=1.0)
     counts = RhsCounts()
     config = IntegratorConfig(scheme=scheme, dt=1e-3, steps=25, record_every=10)
@@ -674,8 +675,6 @@ def _order8_integrate(field, config, counts):
     guess, as it ran before the smoothing guess."""
     validate_reality(field, tol=1e-10)
     w, t = lift(field), 0.0
-    h0, e0 = dynamics._matrix_invariants(w)
-    records = [DiagnosticsRecord(0.0, h0, e0, 0.0, 0.0)]
 
     def counted(grid, w, out=None):
         counts.calls += 1
@@ -685,6 +684,7 @@ def _order8_integrate(field, config, counts):
     history = np.empty((dynamics._GUESS_ORDER + 1, w.size), dtype=np.complex128)
     history[0] = w.ravel()
     with np.errstate(over="ignore", invalid="ignore"):
+        recorder = dynamics._Recorder(w, config)
         for s in range(1, config.steps + 1):
             before = counts.calls
             guess = None
@@ -698,8 +698,8 @@ def _order8_integrate(field, config, counts):
             assert np.isfinite(w).all()
             history[s % len(history)] = w.ravel()
             kept = min(kept + 1, len(history))
-            if s % config.record_every == 0 or s == config.steps:
-                records.append(dynamics._record(t, w, h0, e0))
+            recorder.after_step(s, t, w)
+        records = recorder.flush()
     dynamics._workspace.cache_clear()
     return lower(w), records
 
@@ -1080,3 +1080,128 @@ def test_single_pair_field_survives_integration():
 def test_diagnostics_record_fields():
     r = DiagnosticsRecord(time=0.5, energy=1.0, enstrophy=2.0, drift_energy=0.0, drift_enstrophy=0.0)
     assert r.time == 0.5 and r.energy == 1.0 and r.enstrophy == 2.0
+
+
+# ---------------------------------------------------------------------------
+# the direct FFT entry and batched records
+# ---------------------------------------------------------------------------
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [3, 21, 161])
+def test_direct_fft_entry_is_numpy_fft_bitwise(n):
+    # The Weyl transforms call the gufuncs np.fft.fft/ifft end in; both
+    # directions must be bitwise np.fft's, the table as the output array.
+    rng = np.random.default_rng(n)
+    half = rng.standard_normal(((n + 1) // 2, n)) + 1j * rng.standard_normal(((n + 1) // 2, n))
+    for public, direct, scale in ((np.fft.fft, dynamics._fft, 1.0 / n), (np.fft.ifft, dynamics._ifft, 1.0)):
+        expected = public(half, axis=1, norm="forward", out=np.empty_like(half))
+        got = direct(half, scale, axes=dynamics._LAST_AXIS, out=np.empty_like(half))
+        assert np.array_equal(_bits(got), _bits(expected))
+        in_place = half.copy()
+        direct(in_place, scale, axes=dynamics._LAST_AXIS, out=in_place)
+        assert np.array_equal(_bits(in_place), _bits(expected))
+
+
+def _record_bits(records):
+    return [tuple(float.hex(float(x)) for x in vars(r).values()) for r in records]
+
+
+def _per_record_reference(times, states):
+    """Records as each was read alone before the batching, through np.fft."""
+    def invariants(w):
+        n = len(w)
+        t = dynamics._weyl_tables(n)
+        half = np.fft.fft(w.ravel()[t.from_matrix], axis=1, norm="forward")
+        squares = np.square(half.view(np.float64))
+        h, e = np.add.reduce(t.invariant_weights.reshape(2, -1) * squares.ravel(), axis=-1).tolist()
+        return 0.5 * TWO_PI**2 * h, 0.5 * TWO_PI**2 * e
+
+    h0, e0 = invariants(states[0])
+    return [
+        DiagnosticsRecord(t, h, e, dynamics._drift(h, h0), dynamics._drift(e, e0))
+        for t, (h, e) in zip(times, map(invariants, states))
+    ]
+
+
+def _batch(n):
+    return max(1, dynamics._RECORD_BYTES // (16 * n * n))
+
+
+@pytest.mark.parametrize(
+    "n, scheme, steps, every",
+    [(21, "implicit_midpoint", steps, every)
+     for steps in (0, 1, _batch(21) - 1, _batch(21), _batch(21) + 1, 1000) for every in (1, 3, 7)]
+    + [(81, "rk4", steps, every) for steps in (0, 1, 5) for every in (1, 3)]
+    + [(161, "rk4", steps, 2) for steps in (1, 3)],
+)
+def test_batched_records_are_the_per_record_ones(n, scheme, steps, every, monkeypatch):
+    field = random_shell_field(build_grid(n), seed=n + steps, shell_min=1.0, shell_max=4.0, amplitude=6.0)
+    config = IntegratorConfig(scheme=scheme, dt=1e-3, steps=steps, record_every=every)
+    states, times, t = [lift(field)], [0.0], 0.0
+    inner = dynamics.step
+
+    def keeping(w, *args):
+        nonlocal t
+        w = inner(w, *args)
+        t += config.dt
+        states.append(w.copy())
+        times.append(t)
+        return w
+
+    monkeypatch.setattr(dynamics, "step", keeping)
+    _, records = integrate(field, config)
+    recorded = [s for s in range(steps + 1) if s % every == 0 or s == steps]
+    expected = _per_record_reference([times[s] for s in recorded], [states[s] for s in recorded])
+    assert _record_bits(records) == _record_bits(expected)
+    h0, e0 = records[0].energy, records[0].enstrophy  # and each one is the single-matrix record
+    singles = [dynamics._record(times[s], states[s], h0, e0) for s in recorded]
+    assert _record_bits(records) == _record_bits(singles)
+
+
+def test_record_buffer_holds_a_fixed_byte_budget():
+    # 18 states at n = 21, one from n = 81 on: the buffer never holds more
+    # than the budget or one state, whichever is larger.
+    for n, size in ((21, 18), (81, 1), (161, 1)):
+        w = lift(random_shell_field(build_grid(n), seed=0))
+        recorder = dynamics._Recorder(w, IntegratorConfig(steps=10))
+        assert len(recorder.states) == size
+        assert recorder.states.nbytes <= max(dynamics._RECORD_BYTES, w.nbytes)
+
+
+def _diverging_case(n, dt, steps, record_every):
+    # RK4 far past its stability limit (shell 1..4, amplitude 6, seed 3)
+    field = random_shell_field(build_grid(n), seed=3, shell_min=1.0, shell_max=4.0, amplitude=6.0)
+    return field, IntegratorConfig(dt=dt, steps=steps, record_every=record_every)
+
+
+@pytest.mark.parametrize("steps", [10, 12])
+def test_a_diverged_record_stops_the_run_at_its_time(steps):
+    # At n = 81, dt = 2e-2 W stays finite through step 12, but E has grown
+    # 12.6-fold by step 9 (t = 0.18), and H and E overflow at step 12.
+    field, config = _diverging_case(81, 2e-2, steps, 1)
+    with pytest.raises(ConsistencyError, match=r"diverged at t=0\.18: .* more than 1\.0"):
+        integrate(field, config)
+
+
+def test_a_non_finite_record_stops_the_run():
+    # Recorded only at step 12, whose W is finite but whose H and E overflow.
+    field, config = _diverging_case(81, 2e-2, 12, 12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConsistencyError, match=r"H or E is non-finite at t=0\.2399+6 \(H=inf"):
+            integrate(field, config)
+
+
+def test_a_buffered_divergence_is_reported_before_a_later_failing_step():
+    # n = 21 batches 18 records: the record of step 7 diverges, and step 12
+    # makes W non-finite before that batch is read.  The earlier record wins.
+    field, config = _diverging_case(21, 5e-2, 20, 1)
+    with pytest.raises(ConsistencyError, match=r"diverged at t=0\.35"):
+        integrate(field, config)
+    config = IntegratorConfig(dt=5e-2, steps=20, record_every=20)  # no record before step 12
+    with pytest.raises(ConsistencyError, match="non-finite entries after step 12"):
+        integrate(field, config)

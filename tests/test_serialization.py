@@ -323,6 +323,26 @@ def test_physical_field_bytes_are_pinned(tmp_path):
     assert _sha256(path) == "519397b711dfe89b9721c780828718f080d3aad713b5a8749cbfb6b4997c509b"
 
 
+def test_one_template_per_row_is_the_per_cell_repr_join():
+    # Every writer formats a row with one "%s,...,%s\n" template; the text is
+    # the per-cell repr join it replaced, for every kind of float and int.
+    import io
+
+    from sinebracket.serialization import _write_rows
+
+    rng = np.random.default_rng(0)
+    special = [0.0, -0.0, 5e-324, 1e-300, 1e16, 1e22, 0.1, 1 / 3, -2.5, float("inf"), float("nan"), -float("inf")]
+    cells = special + (rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)).tolist()
+    rows = [tuple(cells[i : i + 5]) for i in range(0, len(cells) - 4, 5)] + [(3, -7, 0, 1.5, 2**70)]
+    fh = io.StringIO()
+    _write_rows(fh, ("a", "b", "c", "d", "e"), rows)
+    expected = "a,b,c,d,e\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    assert fh.getvalue() == expected
+    fh = io.StringIO()
+    _write_rows(fh, ("a",), ())
+    assert fh.getvalue() == "a\n"
+
+
 def test_convergence_table_bytes_are_pinned(tmp_path):
     def row(pair, errors, diffs, exponent):
         return {
@@ -358,6 +378,14 @@ def test_write_json_coerces_numpy_scalars(tmp_path):
     payload = json.loads(path.read_text())
     assert payload == {"a": 1.5, "b": 2, "c": [0, 1, 2]}
     assert path.read_text().endswith("\n")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+def test_write_json_refuses_non_finite_numbers(tmp_path, value):
+    # strict JSON has no NaN or Infinity; a caller maps such a value first
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_json(tmp_path / "out.json", {"reports": [{"max_residual": value}]})
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_config_hash_is_order_insensitive():

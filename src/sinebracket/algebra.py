@@ -665,13 +665,79 @@ def _violation_orbit(indices: tuple) -> list[tuple]:
 
 
 def dedupe_violations(violations: ViolationTable) -> ViolationTable:
-    """Keep one representative per symmetry orbit, in input order.
+    """Keep one representative per symmetry orbit, the first in input order.
 
-    The six member codes of a tuple are the digits of its key in base
-    ``len(members)``; an orbit's key is the smallest such number over the
-    12 images of :func:`_violation_orbit`, and the first row with each key
-    is kept.  Raises ``ValueError`` past 1448 members, or when the packing
-    below would overflow an int64.
+    Two rows share an orbit when one tuple is among the 12 images of the
+    other (:func:`_violation_orbit`), compared by member code.  Raises
+    ``ValueError`` past 1448 members, where the six-digit orbit key of the
+    sort path would overflow an int64.
+
+    A table like the closing-triple scan's is deduplicated on a P x P grid
+    of its hits (P triples, :func:`_grid_heads`), with no per-row key and
+    no sort; any other table takes :func:`_sorted_heads`.  Both keep the
+    same rows.
+    """
+    base = len(violations.members)
+    if base**6 > 2**63:
+        raise ValueError(f"{base} members overflow the int64 orbit key (at most 1448)")
+    heads = _grid_heads(violations)
+    return violations[_sorted_heads(violations) if heads is None else heads]
+
+
+#: A hit grid larger than this many cells, and than 8 per row (the bytes of
+#: the sort path's int64 key of each row), is not built.
+_GRID_CELLS = 1 << 19
+
+
+def _grid_heads(violations: ViolationTable) -> np.ndarray | None:
+    """Mask of the rows that head their orbits, or None where the grid does not apply.
+
+    It applies when no two triples share their first two members (the third
+    is fixed by them), when (j, i, .) closes on the same member as (i, j, .)
+    wherever both are triples, when rows are strictly increasing in
+    (first, second) order, as :func:`_scan_closing` emits them and any slice
+    keeps them, and when the P x P grid is small enough.  Then the orbit of
+    a row f = (i, j, k), s = (l, p, q) meets the table only at the rows
+    {f, f'} x {s, s'}, f' = (j, i, k) and s' = (l, q, p), those that are
+    triples: an image puts k back into the first triple, and where it moves
+    k into the second one, p or q equals k and the tuple is the same.  A row
+    heads its orbit unless such a mate row comes earlier and is a hit too.
+    A missing mate is the row itself, which never comes earlier.
+    """
+    t, first, second = violations.triples, violations.first, violations.second
+    p, m = len(t), np.int64(len(violations.members))
+    if p * p > max(8 * len(first), _GRID_CELLS):
+        return None
+    pairs = t[:, 0] * m + t[:, 1]  # (x, y) of each triple as one code, sorted below
+    order = np.argsort(pairs)
+    pairs = pairs[order]
+    if np.any(pairs[1:] == pairs[:-1]):
+        return None  # two triples share their first two members
+    own = np.arange(p)
+
+    def triple_at(x, y):
+        """Per triple, the index of the triple (x, y, .), or its own index where there is none."""
+        at = np.minimum(np.searchsorted(pairs, x * m + y), p - 1)
+        return np.where(pairs[at] == x * m + y, order[at], own)
+
+    swap_ij = triple_at(t[:, 1], t[:, 0])
+    if np.any(t[swap_ij, 2] != t[:, 2]):
+        return None  # (j, i, .) closes on another member than (i, j, .)
+    swap_pq = triple_at(t[:, 0], t[:, 2])
+    swap_pq = np.where(t[swap_pq, 2] == t[:, 1], swap_pq, own)  # (l, q, .) must close on p
+    flat = first.astype(np.intp) * p + second
+    if np.any(flat[1:] <= flat[:-1]):
+        return None  # rows out of scan order
+    hit = np.zeros((p, p), dtype=bool)
+    hit.ravel()[flat] = True
+    earlier = hit[swap_ij] & (swap_ij < own)[:, None]  # (f', s) before (f, s)
+    earlier |= np.take(earlier, swap_pq, axis=1)  # (f', s') likewise
+    earlier |= np.take(hit, swap_pq, axis=1) & (swap_pq < own)  # (f, s') before (f, s)
+    return ~earlier.ravel()[flat]
+
+
+def _sorted_heads(violations: ViolationTable) -> np.ndarray:
+    """Rows that head their orbits, by one sort of packed orbit codes; any table.
 
     The images permute slots (0, 1) and slots (2, 4, 5) independently and
     fix slot 3, so the smallest image sorts each group: its head digits are
@@ -679,11 +745,10 @@ def dedupe_violations(violations: ViolationTable) -> ViolationTable:
     Heads are tabulated per first triple, tails per (k, second triple), and
     a row's code is its head rank times the number of tails plus its tail
     rank.  One in-place sort of ``(code << b) | row`` puts each orbit's
-    rows together, first row first.
+    rows together, first row first; raises ``ValueError`` when that packing
+    would overflow an int64.
     """
     base = len(violations.members)
-    if base**6 > 2**63:
-        raise ValueError(f"{base} members overflow the int64 orbit key (at most 1448)")
     t = violations.triples.astype(np.int64)
     head = np.minimum(t[:, 0], t[:, 1]) * base + np.maximum(t[:, 0], t[:, 1])
     k_values, krow = np.unique(t[:, 2], return_inverse=True)
@@ -703,7 +768,7 @@ def dedupe_violations(violations: ViolationTable) -> ViolationTable:
     code.sort()
     keep = np.ones(rows, dtype=bool)
     keep[1:] = (code[1:] ^ code[:-1]) >> b != 0
-    return violations[np.sort(code[keep] & ((1 << b) - 1))]
+    return np.sort(code[keep] & ((1 << b) - 1))
 
 
 def scan_gen_jacobi(tensor: SineNambuTensor | DenseNambuTensor) -> ViolationTable:
@@ -766,6 +831,10 @@ def _matching_pairs(keys_a: np.ndarray, keys_b: np.ndarray, size: int):
     return a, order[np.repeat(starts[keys_a], per_a) + offset]
 
 
+#: Residual entries that one chunk of :func:`_scan_closing` holds, at least one row of them.
+_SCAN_CHUNK_ENTRIES = 1_000_000
+
+
 def _scan_closing(
     members: Sequence, value: np.ndarray, close: np.ndarray, pairs: np.ndarray
 ) -> ViolationTable:
@@ -784,8 +853,12 @@ def _scan_closing(
     that member (:func:`_matching_pairs`) and whose remaining delta holds.
     Each residual is summed as (t1 + t2) + t3, as a dense sum with zeros
     for the absent summands would be, and t1 is never zero, so the
-    residuals are bitwise those of the dense sum.  A chunk's hits are
-    pulled out in one pass, as flat positions split by ``divmod``.
+    residuals are bitwise those of the dense sum.  Rows are scanned in
+    chunks of ``_SCAN_CHUNK_ENTRIES`` residuals.  A chunk's hits are pulled
+    out in one pass as flat positions; each hit's row comes from the
+    per-row hit counts, and its column is its position less the row's
+    start, in int32 since a chunk holds far fewer than 2^31 entries.  Hits
+    come out strictly increasing in (first, second) order.
     """
     pair_i, pair_j = np.nonzero(pairs)
     pair_k = close[pair_i, pair_j]
@@ -805,18 +878,19 @@ def _scan_closing(
     t3 = pair_val[a3] * value[pair_i[b3], pair_k[b3]]
 
     first, second, residuals = [], [], []
-    chunk = max(1, 1_000_000 // n_pairs)
+    chunk = max(1, _SCAN_CHUNK_ENTRIES // n_pairs)
     for start in range(0, n_pairs, chunk):
         stop = start + chunk
         residual = np.multiply.outer(pair_val[start:stop], pair_val)
         for a, b, t in ((a2, b2, t2), (a3, b3, t3)):
             lo, hi = np.searchsorted(a, (start, stop))
             residual[a[lo:hi] - start, b[lo:hi]] += t[lo:hi]
-        flat = np.flatnonzero(np.abs(residual) > tol)
+        hits = np.abs(residual) > tol
+        flat = np.flatnonzero(hits)
         residuals.append(residual.ravel()[flat])
-        rows, cols = np.divmod(flat, n_pairs)
-        first.append(rows.astype(np.int32) + np.int32(start))
-        second.append(cols.astype(np.int32))
+        rows = np.repeat(np.arange(len(hits), dtype=np.int32), np.count_nonzero(hits, axis=1))
+        second.append(flat.astype(np.int32) - rows * np.int32(n_pairs))
+        first.append(rows + np.int32(start))
     # one column at a time, so each list of chunks is freed before the next is joined
     first = np.concatenate(first)
     second = np.concatenate(second)

@@ -106,6 +106,16 @@ def _real(value, what: str) -> float:
 
 
 def _peak_rss_mb() -> float:
+    """Peak resident memory of this process in MiB: ``VmHWM`` where /proc/self/status
+    has it, else ``ru_maxrss``.  Linux carries the launching process's peak into the
+    ``ru_maxrss`` of a command it starts, so from a larger parent that would be read."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024  # kB
+    except OSError:
+        pass
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 
 

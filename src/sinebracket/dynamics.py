@@ -319,8 +319,8 @@ def lower(w: np.ndarray) -> ModeField:
     return ModeField(grid, 0.5 * (y + np.conj(y[grid.neg_index])))
 
 
-def _stack_invariants(stack: np.ndarray, out: np.ndarray) -> tuple[list, list]:
-    """H and E of each Hermitian matrix of a (B, n, n) stack, as two lists of floats.
+def _stack_invariants(stack: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """H and E of each Hermitian matrix of a (B, n, n) stack, as the two rows of a (2, B) array.
 
     They are grid._invariants(lower(w)) of each matrix w to rounding: the
     weighted squares |c_k phase_k|^2 = zeta_k zeta_{-k} of its half table,
@@ -333,8 +333,7 @@ def _stack_invariants(stack: np.ndarray, out: np.ndarray) -> tuple[list, list]:
     weighted = _weyl_tables(n).invariant_weights * squares.reshape(len(stack), -1)
     sums = np.add.reduce(weighted, axis=-1)
     sums *= 0.5 * TWO_PI**2
-    h, e = sums.tolist()
-    return h, e
+    return sums
 
 
 def rhs_fast(grid: TruncationGrid, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -561,24 +560,31 @@ _SMOOTH_RECENT, _SMOOTH_OLDER = (
 )
 
 
-def _drift(value: float, initial: float) -> float:
-    """Relative change from a nonzero initial value, absolute from zero."""
-    return abs(value - initial) / max(abs(initial), 1e-300) if initial != 0.0 else abs(value)
+def _drift(value, initial):
+    """|value - initial| / max(|initial|, 1e-300), the change relative to a nonzero initial
+    value, or |value - 0| / 1, which is |value| bitwise, from zero; elementwise over arrays."""
+    initial = np.asarray(initial, dtype=np.float64)
+    scale = np.where(initial == 0.0, 1.0, np.maximum(np.abs(initial), 1e-300))
+    return np.abs(value - initial) / scale
 
 
-def _records(times, stack: np.ndarray, out: np.ndarray, h0: float, e0: float) -> list:
-    """The DiagnosticsRecord of each matrix of ``stack`` at its time, H and E read off the
-    matrix (a record lowers nothing); ``out`` takes the half tables."""
-    hs, es = _stack_invariants(stack, out)
-    return [
-        DiagnosticsRecord(t, h, e, _drift(h, h0), _drift(e, e0)) for t, h, e in zip(times, hs, es)
-    ]
+def _record_values(stack: np.ndarray, out: np.ndarray, initial) -> np.ndarray:
+    """H, E and their drifts from ``initial`` = [[H0], [E0]] for each matrix of ``stack``, the
+    rows of a (4, B) array, read off the matrix (a record lowers nothing); ``out`` takes the
+    half tables."""
+    sums = _stack_invariants(stack, out)
+    return np.concatenate((sums, _drift(sums, initial)))
+
+
+def _records(times, values: np.ndarray) -> list:
+    """The DiagnosticsRecord of each column of :func:`_record_values` at its time."""
+    return [DiagnosticsRecord(*row) for row in zip(times, *values.tolist())]
 
 
 def _record(time: float, w: np.ndarray, h0: float, e0: float) -> DiagnosticsRecord:
     """The record of one matrix alone, which each record of a batch equals bitwise."""
-    m = (len(w) - 1) // 2
-    return _records([time], w[None], np.empty((1, m + 1, len(w)), dtype=np.complex128), h0, e0)[0]
+    out = np.empty((1, (len(w) + 1) // 2, len(w)), dtype=np.complex128)
+    return _records([time], _record_values(w[None], out, [[h0], [e0]]))[0]
 
 
 # Bytes of recorded states that a run holds before it reads their H and E as
@@ -600,10 +606,12 @@ class _Recorder:
     every ``record_every``-th step and of the last one.  A recorded state is
     copied into a buffer of as many matrices as fit ``_RECORD_BYTES`` (at
     least one); a full buffer and :meth:`flush` turn the buffered states
-    into records, in order.  A record whose H or E is non-finite, or drifts
-    by more than ``_DIVERGED_DRIFT``, raises :class:`ConsistencyError` naming
-    its own time.  Used under ``np.errstate(over="ignore")``: an overflowing
-    H or E is reported as non-finite.
+    into records, in order.  The first record whose H or E is non-finite, or
+    drifts by more than ``_DIVERGED_DRIFT``, raises :class:`ConsistencyError`
+    naming its own time; both tests run over the whole batch at once, and a
+    non-finite value is reported before a drift.  Used under
+    ``np.errstate(over="ignore")``: an overflowing H or E is reported as
+    non-finite.
     """
 
     def __init__(self, w: np.ndarray, config: IntegratorConfig):
@@ -613,9 +621,10 @@ class _Recorder:
         self.tables = np.empty((size, m + 1, n), dtype=np.complex128)
         self.every, self.last = config.record_every, config.steps
         self.times: list[float] = []
-        (self.h0,), (self.e0,) = _stack_invariants(w[None], self.tables[:1])
-        self.records = [DiagnosticsRecord(0.0, self.h0, self.e0, 0.0, 0.0)]
-        self._check(self.records)
+        self.initial = _stack_invariants(w[None], self.tables[:1])  # [[H0], [E0]]
+        start = np.concatenate((self.initial, np.zeros((2, 1))))
+        self._check([0.0], start)
+        self.records = _records([0.0], start)
 
     def after_step(self, s: int, t: float, w: np.ndarray) -> None:
         """Record ``w``, the state at time ``t`` after step ``s``, if step ``s`` is recorded."""
@@ -631,23 +640,25 @@ class _Recorder:
         times, k = self.times, len(self.times)
         if k:
             self.times = []
-            batch = _records(times, self.states[:k], self.tables[:k], self.h0, self.e0)
-            self._check(batch)
-            self.records += batch
+            values = _record_values(self.states[:k], self.tables[:k], self.initial)
+            self._check(times, values)
+            self.records += _records(times, values)
         return self.records
 
     @staticmethod
-    def _check(batch: list[DiagnosticsRecord]) -> None:
-        for r in batch:
-            if not (math.isfinite(r.energy) and math.isfinite(r.enstrophy)):
-                raise ConsistencyError(
-                    f"H or E is non-finite at t={r.time!r} (H={r.energy!r}, E={r.enstrophy!r})"
-                )
-            if max(r.drift_energy, r.drift_enstrophy) > _DIVERGED_DRIFT:
-                raise ConsistencyError(
-                    f"diverged at t={r.time!r}: H and E drifted by {r.drift_energy:.3g} and "
-                    f"{r.drift_enstrophy:.3g} from t = 0, more than {_DIVERGED_DRIFT!r}"
-                )
+    def _check(times: list[float], values: np.ndarray) -> None:
+        """Raise at the first column of ``values`` (H, E, drift_H, drift_E) that is refused."""
+        if np.isfinite(values).all() and values[2:].max() <= _DIVERGED_DRIFT:
+            return
+        nonfinite = ~np.isfinite(values[:2]).all(axis=0)
+        r = np.flatnonzero(nonfinite | (values[2:].max(axis=0) > _DIVERGED_DRIFT))[0]
+        t, (h, e, drift_h, drift_e) = times[r], values[:, r].tolist()
+        if nonfinite[r]:
+            raise ConsistencyError(f"H or E is non-finite at t={t!r} (H={h!r}, E={e!r})")
+        raise ConsistencyError(
+            f"diverged at t={t!r}: H and E drifted by {drift_h:.3g} and "
+            f"{drift_e:.3g} from t = 0, more than {_DIVERGED_DRIFT!r}"
+        )
 
 
 def integrate(

@@ -44,8 +44,8 @@ VIOLATIONS_HEADER = (
 )
 
 
-def _open_write(path):
-    return open(path, "w", encoding="utf-8", newline="")
+def _open_write(path, buffering: int = -1):
+    return open(path, "w", encoding="utf-8", newline="", buffering=buffering)
 
 
 def _write_rows(fh, header, rows) -> None:
@@ -168,6 +168,8 @@ def load_diagnostics(path) -> list[DiagnosticsRecord]:
 
 #: Rows whose tail texts :func:`save_violations` gathers at a time.
 _VIOLATION_BLOCK = 1 << 16
+#: Bytes that :func:`save_violations` gathers per write to the file, many runs of rows each.
+_VIOLATION_BUFFER = 1 << 20
 
 
 def save_violations(path, violations) -> None:
@@ -178,7 +180,9 @@ def save_violations(path, violations) -> None:
     once.  The tail text (second triple, residual, newline) of each code
     ``second * V + which`` that occurs is built once, found by a dense
     lookup over the T * V codes.  Each run of rows sharing a first triple
-    is written as ``head + head.join(tails)``.
+    is written as ``head`` and then ``head.join(tails)``, two writes, so the
+    run's text is not copied once more; a buffer of ``_VIOLATION_BUFFER``
+    bytes gathers many runs into one write to the file.
     """
     members = np.asarray(violations.members, dtype=np.int64)
     if members.ndim != 2 or members.shape[1] != 2:
@@ -197,7 +201,7 @@ def save_violations(path, violations) -> None:
     lookup[occurring] = np.arange(len(occurring))
     suffix = [repr(x) + "\n" for x in values.view(np.float64).tolist()]
     tails = np.array([prefix[c // v] + suffix[c % v] for c in occurring.tolist()], dtype=object)
-    with _open_write(path) as fh:
+    with _open_write(path, _VIOLATION_BUFFER) as fh:
         _write_rows(fh, VIOLATIONS_HEADER, ())
         for start in range(0, len(violations), _VIOLATION_BLOCK):
             block = slice(start, start + _VIOLATION_BLOCK)
@@ -206,7 +210,8 @@ def save_violations(path, violations) -> None:
             cuts = [0, *(np.flatnonzero(first[1:] != first[:-1]) + 1).tolist(), len(rows)]
             heads = [prefix[a] for a in first[cuts[:-1]].tolist()]
             for h, lo, hi in zip(heads, cuts, cuts[1:]):
-                fh.write(h + h.join(rows[lo:hi]))
+                fh.write(h)
+                fh.write(h.join(rows[lo:hi]))
 
 
 def _structure_constant(row) -> tuple[int, int, int, float]:

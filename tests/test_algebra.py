@@ -758,6 +758,62 @@ def test_dedupe_packing_edge_and_overflow():
         dedupe_violations(ViolationTable(range(1449), [[0, 1, 2]], [0], [0], [1.0]))
 
 
+def _every_pair(members, triples):
+    """Every (first, second) pair of ``triples`` as a row, in row-major order."""
+    first, second = np.divmod(np.arange(len(triples) ** 2), len(triples))
+    return ViolationTable(members, triples, first, second, np.arange(float(len(first))))
+
+
+def test_scans_take_the_hit_grid_path():
+    for violations in (
+        scan_gen_jacobi(SineNambuTensor(build_grid(5))),
+        scan_gen_jacobi(SineNambuTensor(build_grid(7))),
+        scan_gen_jacobi_continuum(2),
+    ):
+        assert sine_algebra._grid_heads(violations) is not None
+
+
+def test_hit_grid_guards_fall_back_to_the_sort_path(scan5):
+    # each table breaks one condition of the hit-grid path, and on each the
+    # grid without that guard would keep other rows than the oracle
+    reversed_slice = scan5[:4000][::-1]
+    upper = [(x, y) for x in range(4) for y in range(x + 1, 4)]
+    shared_pair = _every_pair(range(4), [[x, y, k] for x, y in upper for k in range(4)])
+    square = [(x, y) for x in range(5) for y in range(5)]
+    other_close = _every_pair(range(5), [[x, y, (x + 2 * y) % 5] for x, y in square])
+    for table in (reversed_slice, shared_pair, other_close):
+        assert sine_algebra._grid_heads(table) is None
+        assert list(dedupe_violations(table)) == _reference_dedupe(table)
+    kept, oracle = dedupe_violations(scan5[::-1]), _unique_dedupe(scan5[::-1])
+    assert np.array_equal(kept.first, oracle.first)
+    assert np.array_equal(kept.second, oracle.second)
+
+
+def test_hit_grid_keeps_the_first_of_each_orbit(scan5):
+    # slices and strided picks keep the row order but lose orbit mates; in
+    # the last table (l, q, .) is a triple that need not close on p
+    square = [(x, y) for x in range(5) for y in range(5)]
+    symmetric = _every_pair(range(5), [[x, y, (x + y) % 5] for x, y in square])
+    partial = (scan5[3000:6000], scan5[1::7][:3000], scan_gen_jacobi_continuum(1)[5::3])
+    for table in (*partial, symmetric):
+        assert sine_algebra._grid_heads(table) is not None
+        assert list(dedupe_violations(table)) == _reference_dedupe(table)
+
+
+def test_scan_in_many_chunks_is_the_one_chunk_scan(scan5, monkeypatch):
+    # the n = 5 scan fits in one chunk; smaller budgets cut it at row
+    # boundaries that do and do not divide its 480 rows, down to one row
+    assert sine_algebra._SCAN_CHUNK_ENTRIES // len(scan5.triples) >= len(scan5.triples)
+    tensor = SineNambuTensor(build_grid(5))
+    for budget in (480 * 48, 480 * 7, 1):
+        monkeypatch.setattr(sine_algebra, "_SCAN_CHUNK_ENTRIES", budget)
+        chunked = scan_gen_jacobi(tensor)
+        assert np.array_equal(chunked.triples, scan5.triples)
+        assert chunked.first.tobytes() == scan5.first.tobytes()
+        assert chunked.second.tobytes() == scan5.second.tobytes()
+        assert chunked.residual.tobytes() == scan5.residual.tobytes()
+
+
 def test_scan_continuum_needs_bound():
     # the untruncated tensor has no finite index set: only the bounded scan takes it
     with pytest.raises(TypeError, match="ContinuumNambuTensor"):

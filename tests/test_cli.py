@@ -3,9 +3,13 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -894,6 +898,32 @@ def test_jacobi_scan_writes_violations(tmp_path, capsys):
     assert all(seconds > 0 for seconds in summary["stage_s"].values())
     assert summary["runtime_s"] >= summary["stage_s"]["scan"] + summary["stage_s"]["dedupe"]
     assert summary["peak_rss_mb"] > 0
+
+
+def test_jacobi_scan_n7_command_is_pinned(tmp_path):
+    # one child process, so that its peak RSS is the command's own
+    src = Path(sinebracket.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    command = [sys.executable, "-m", "sinebracket.cli", "jacobi-scan", "--n", "7"]
+    command += ["--out", str(tmp_path)]
+    done = subprocess.run(
+        command, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "3894912 violating tuples (973728 after symmetry reduction)" in done.stdout
+    table = tmp_path / "jacobi_violations_n7.csv"
+    digest = hashlib.sha256()
+    try:
+        with open(table, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
+    finally:
+        table.unlink()  # 203 MB
+    assert digest.hexdigest() == "2ec13a05b02f8bff20ce05c93b8e177e75a52b13b8b1d0aa2046d75434bf52b2"
+    summary = json.loads((tmp_path / "scan_summary.json").read_text(encoding="utf-8"))
+    params = summary["params"]
+    assert (params["violations_raw"], params["violations_deduplicated"]) == (3894912, 973728)
+    assert 0 < summary["peak_rss_mb"] < 175  # a per-row int64 sort in the dedupe reached 191.4
 
 
 def test_jacobi_scan_without_the_known_tuple_fails(tmp_path, capsys, monkeypatch):

@@ -1196,6 +1196,29 @@ def test_a_non_finite_record_stops_the_run():
             integrate(field, config)
 
 
+def test_a_batch_check_reports_its_first_refused_record():
+    # rows H, E, drift_H, drift_E of records at t = 0.1, 0.2, 0.3, 0.4: a
+    # batch is tested at once, yet the message is the first refused record's,
+    # and a record that is non-finite and drifted is reported as non-finite
+    values = np.array([
+        [1.0, 1.0, 9.0, math.nan],
+        [2.0, 2.0, 2.0, 2.0],
+        [0.0, 0.5, 8.0, math.nan],
+        [0.0, 0.0, 0.0, math.inf],
+    ])
+    times = [0.1, 0.2, 0.3, 0.4]
+    with pytest.raises(ConsistencyError, match=r"^diverged at t=0\.3: H and E drifted by 8 and 0 "):
+        dynamics._Recorder._check(times, values)
+    values[1, 2] = math.inf
+    message = r"^H or E is non-finite at t=0\.3 \(H=9\.0, E=inf\)$"
+    with pytest.raises(ConsistencyError, match=message):
+        dynamics._Recorder._check(times, values)
+    dynamics._Recorder._check(times[:2], values[:, :2])  # drifts of 0.5 and less pass
+    values[3, 1] = 1.5
+    with pytest.raises(ConsistencyError, match=r"^diverged at t=0\.2: .* by 0\.5 and 1\.5 "):
+        dynamics._Recorder._check(times[:2], values[:, :2])
+
+
 def test_a_buffered_divergence_is_reported_before_a_later_failing_step():
     # n = 21 batches 18 records: the record of step 7 diverges, and step 12
     # makes W non-finite before that batch is read.  The earlier record wins.

@@ -23,7 +23,6 @@ from .grid import (
 from .functionals import (
     Functional,
     ModePolynomial,
-    coordinate_functional,
     random_real_polynomial,
 )
 from .algebra import (
@@ -40,15 +39,12 @@ from .algebra import (
     alpha_zeitlin_dense,
     construct_generic,
     dedupe_violations,
-    gen_jacobi_residual,
     gen_jacobi_terms,
     killing_bruteforce,
     killing_closed,
     lie_poisson_bracket,
     nambu_bracket,
-    quadratic_casimir,
     scan_gen_jacobi,
-    scan_gen_jacobi_continuum,
     support_nambu_bracket,
 )
 from .dynamics import (
@@ -79,13 +75,10 @@ from .verify import (
 )
 from .serialization import (
     config_hash,
-    load_diagnostics,
     load_generic_constants,
-    load_mode_field,
     load_physical_field,
     save_diagnostics,
     save_mode_field,
-    save_physical_field,
     save_violations,
     write_json,
     write_metadata,

@@ -22,7 +22,7 @@ which turns the Lie-Poisson bracket into a trilinear bracket with the
 enstrophy as second conserved slot (Nambu 1973; the construction follows
 Bialynicki-Birula and Morrison 1991).  The trilinear bracket satisfies the
 Leibniz rule but not the generalized (fundamental) Jacobi identity;
-:func:`gen_jacobi_residual` and :func:`scan_gen_jacobi` quantify exactly
+:func:`gen_jacobi_terms` and :func:`scan_gen_jacobi` quantify exactly
 how it fails.  The truncated and the untruncated tensor are both supported
 on closing triples (i + j + k = 0, modulo n on the truncation) and differ
 only in the coefficient, so one entry rule gives both (and the structure
@@ -35,8 +35,8 @@ and so are its brackets, :func:`lie_poisson_bracket` (grid, field, f1, f2) and
 the su(n) matrices of its slots; the N x N pair matrices remain as O(n^4)
 oracles.  Types remain only to validate outside input or to pick a Nambu
 entry rule.  :func:`scan_gen_jacobi` scans a truncated or a dense tensor;
-the untruncated tensor has no finite index set, so
-:func:`scan_gen_jacobi_continuum` takes the box it scans.
+the untruncated tensor has no finite index set, and only the tests scan it,
+on a bounded box through the same kernel, :func:`_scan_closing`.
 
 Sine and cosine values are read from reflected tables indexed by integer
 arguments modulo n, so all antisymmetry and wrap cancellations hold
@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConsistencyError, ValidationError
+from .errors import ValidationError
 from .functionals import Functional, ModePolynomial
 from .grid import (
     TWO_PI,
@@ -61,8 +61,6 @@ from .grid import (
     TruncationGrid,
     WaveVector,
     _as_wave_vector,
-    enstrophy,
-    validate_reality,
 )
 
 #: Generic algebras above this dimension are refused (dense tensors only).
@@ -93,10 +91,6 @@ def nambu_prefactor(n: int) -> float:
 def killing_diagonal(n: int) -> float:
     """Value of K_ij on the pairing diagonal j = -i."""
     return -0.5 * n**4 / TWO_PI**6
-
-
-def killing_inverse_diagonal(n: int) -> float:
-    return -2.0 * TWO_PI**6 / n**4
 
 
 def casimir_scale(n: int) -> float:
@@ -310,26 +304,6 @@ class DenseKillingForm:
         self.matrix, self.inverse = matrix, inverse
 
 
-def quadratic_casimir(grid: TruncationGrid, field: ModeField) -> float:
-    """r/2 * sum_ij K^{ij} zeta_i zeta_j, cross-checked against the enstrophy.
-
-    The inverse Killing pairing collapses onto j = -i, and the prefactors
-    combine to (2pi)^2/2, so the scaled Casimir must reproduce the
-    enstrophy to rounding.  A relative mismatch beyond 1e-12 raises
-    :class:`ConsistencyError`; the Casimir value is returned.
-    """
-    validate_reality(field)
-    z = field.coeffs
-    prefactor = 0.5 * casimir_scale(grid.n) * killing_inverse_diagonal(grid.n)
-    casimir = float((prefactor * np.sum(z * z[grid.neg_index])).real)
-    reference = enstrophy(field)
-    if abs(casimir - reference) > 1e-12 * max(abs(reference), 1e-300):
-        raise ConsistencyError(
-            f"scaled quadratic Casimir {casimir!r} does not match the enstrophy {reference!r}"
-        )
-    return casimir
-
-
 # ---------------------------------------------------------------------------
 # Nambu tensor
 # ---------------------------------------------------------------------------
@@ -461,19 +435,6 @@ def _lie_poisson_matrix(grid: TruncationGrid, field: ModeField) -> np.ndarray:
     return lie_poisson_prefactor(grid.n) * t.sin_cross * gathered
 
 
-def _bilinear_with_scale(
-    matrix: np.ndarray, g1: np.ndarray, g2: np.ndarray
-) -> tuple[complex, float]:
-    """g1.M.g2 plus the L1 mass of the summands (cancellation scale).
-
-    The per-pair oracle of the shared products in ``verify``'s casimir and
-    reduction checks.
-    """
-    value = complex(g1 @ (matrix @ g2))
-    scale = float(np.abs(g1) @ (np.abs(matrix) @ np.abs(g2)))
-    return value, scale
-
-
 def _trace_bracket(grid: TruncationGrid, vectors, prefactor, what: str) -> float:
     """i kappa tr(A [B, C]), kappa = prefactor(n)/2n, over the Weyl matrices of three vectors.
 
@@ -579,12 +540,6 @@ def gen_jacobi_terms(tensor: _AnyNambuTensor, i, j, k, l, p, q) -> tuple[float, 
     return (t1, t2, t3)
 
 
-def gen_jacobi_residual(tensor: _AnyNambuTensor, i, j, k, l, p, q) -> float:
-    """Residual of the generalized Jacobi identity at one index tuple."""
-    t1, t2, t3 = gen_jacobi_terms(tensor, i, j, k, l, p, q)
-    return t1 + t2 + t3
-
-
 class JacobiViolation(NamedTuple):
     """One index tuple where the generalized Jacobi identity fails."""
 
@@ -649,26 +604,12 @@ class ViolationTable(Sequence):
         return int(rows[0]) if rows.size else None
 
 
-def _violation_orbit(indices: tuple) -> list[tuple]:
-    """All 12 index tuples carrying the same residual up to sign.
-
-    The residual is invariant under cycling (k, p, q), flips sign under
-    swapping any two of them, and flips sign under swapping (i, j).
-    """
-    i, j, k, l, p, q = indices
-    triples = [(k, p, q), (p, q, k), (q, k, p), (q, p, k), (p, k, q), (k, q, p)]
-    images = []
-    for a, b in ((i, j), (j, i)):
-        for t in triples:
-            images.append((a, b, t[0], l, t[1], t[2]))
-    return images
-
-
 def dedupe_violations(violations: ViolationTable) -> ViolationTable:
     """Keep one representative per symmetry orbit, the first in input order.
 
     Two rows share an orbit when one tuple is among the 12 images of the
-    other (:func:`_violation_orbit`), compared by member code.  Raises
+    other, compared by member code: cycling (k, p, q) keeps the residual,
+    and swapping two of them, or i and j, flips its sign.  Raises
     ``ValueError`` past 1448 members, where the six-digit orbit key of the
     sort path would overflow an int64.
 
@@ -781,10 +722,9 @@ def scan_gen_jacobi(tensor: SineNambuTensor | DenseNambuTensor) -> ViolationTabl
     result is therefore complete up to that equivalence.
 
     The truncated tensor is supported on closing triples and is scanned by
-    :func:`_scan_closing`, as is the untruncated one
-    (:func:`scan_gen_jacobi_continuum`); a dense tensor is scanned over all
-    d^6 tuples.  A tuple is reported when |residual| > 1e-10 * (max |N|)^2.
-    Hits come back as a :class:`ViolationTable` in enumeration order.
+    :func:`_scan_closing`; a dense tensor is scanned over all d^6 tuples.
+    A tuple is reported when |residual| > 1e-10 * (max |N|)^2.  Hits come
+    back as a :class:`ViolationTable` in enumeration order.
     """
     if isinstance(tensor, SineNambuTensor):
         n = tensor.grid.n
@@ -795,25 +735,6 @@ def scan_gen_jacobi(tensor: SineNambuTensor | DenseNambuTensor) -> ViolationTabl
     if isinstance(tensor, DenseNambuTensor):
         return _scan_dense(tensor)
     raise TypeError(f"cannot scan tensor of type {type(tensor).__name__}")
-
-
-def scan_gen_jacobi_continuum(bound: int) -> ViolationTable:
-    """:func:`scan_gen_jacobi` for the untruncated tensor, over i, j in |i|, |j| <= bound.
-
-    The members are the retained vectors of the n = 4*bound + 1 grid, which
-    holds the closing vector -(i+j) of every pair of box vectors.
-    """
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
-    grid = TruncationGrid(4 * bound + 1)
-    v, m = grid.vectors, grid.half
-    cross = np.outer(v[:, 0], v[:, 1]) - np.outer(v[:, 1], v[:, 0])
-    # -(i+j) has components in [-2m, 2m]; off the grid it closes on no member
-    padded = np.pad(grid.offset_table, m, constant_values=-1)
-    close = padded[2 * m - v[:, 0][:, None] - v[:, 0], 2 * m - v[:, 1][:, None] - v[:, 1]]
-    box = np.all(np.abs(v) <= bound, axis=1)
-    pairs = np.outer(box, box) & (cross != 0)
-    return _scan_closing(tuple(grid), -cross / TWO_PI**4, close, pairs)
 
 
 def _matching_pairs(keys_a: np.ndarray, keys_b: np.ndarray, size: int):

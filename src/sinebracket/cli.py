@@ -11,9 +11,11 @@ jacobi-scan  exhaustively scan for generalized-Jacobi violations, write them
 
 Exit codes: 0 success, 1 check failure, 2 usage or configuration error,
 3 runtime failure.  ``run`` accepts a negative ``dt`` (a reversed run) and
-exits 3 without writing outputs when the state becomes non-finite.  Every
-output file gains a ``.meta.json`` sidecar recording version,
-configuration hash, and seed.  Outputs are byte-identical across reruns of
+exits 3 without writing outputs when the state becomes non-finite, or when
+a record's H or E is non-finite or has drifted from its value at t = 0 by
+more than ``dynamics._DIVERGED_DRIFT`` relatively.  Every output file
+gains a ``.meta.json`` sidecar recording version, configuration hash, and
+seed.  Outputs are byte-identical across reruns of
 the same configuration and seed on one numpy/BLAS build with one BLAS thread
 setting; ``run`` records all three in ``summary.json``.  The thread count
 alone can move a result: an implicit-midpoint run at n = 641 that stops
@@ -171,13 +173,16 @@ class RunConfig:
         try:
             _refuse_unknown_keys(raw, {f.name for f in fields(cls)}, "top-level")
             steps = _integer(raw["steps"], "steps")
+            seed = _integer(raw.get("seed", 0), "seed")
+            if seed < 0:  # checked for every initial condition, used or not
+                raise ValueError(f"seed must be a non-negative integer, got {seed}")
             return cls(
                 n=_integer(raw["n"], "n"),
                 scheme=_string(raw.get("scheme", "rk4"), "scheme"),
                 dt=_real(raw["dt"], "dt"),
                 steps=steps,
                 record_every=_integer(raw.get("record_every", max(1, steps // 10)), "record_every"),
-                seed=_integer(raw.get("seed", 0), "seed"),
+                seed=seed,
                 initial_condition=dict(raw.get("initial_condition", {"type": "shell"})),
                 out_dir=_string(raw.get("out_dir", "."), "out_dir"),
             )

@@ -581,12 +581,6 @@ def _records(times, values: np.ndarray) -> list:
     return [DiagnosticsRecord(*row) for row in zip(times, *values.tolist())]
 
 
-def _record(time: float, w: np.ndarray, h0: float, e0: float) -> DiagnosticsRecord:
-    """The record of one matrix alone, which each record of a batch equals bitwise."""
-    out = np.empty((1, (len(w) + 1) // 2, len(w)), dtype=np.complex128)
-    return _records([time], _record_values(w[None], out, [[h0], [e0]]))[0]
-
-
 # Bytes of recorded states that a run holds before it reads their H and E as
 # one stack: 18 states at n = 21, one from n = 81 on.  At small n a batch
 # saves most of a record's cost, the per-call overhead of the gather, the FFT

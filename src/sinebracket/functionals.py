@@ -123,22 +123,6 @@ class ModePolynomial:
         return Functional(self.value, self.gradient, name=name)
 
 
-def coordinate_functional(grid: TruncationGrid, v) -> Functional:
-    """The single coefficient zeta_hat(v) as a (complex-valued) observable."""
-    idx = grid.index_of(v)
-
-    def gradient(field: ModeField) -> np.ndarray:
-        g = np.zeros(grid.size, dtype=np.complex128)
-        g[idx] = 1.0
-        return g
-
-    return Functional(
-        lambda field: field.coeffs[idx],
-        gradient,
-        name=f"coordinate{tuple(_as_wave_vector(v))}",
-    )
-
-
 def random_real_polynomial(grid: TruncationGrid, rng: np.random.Generator) -> ModePolynomial:
     """Random polynomial observable, real-valued on reality fields.
 

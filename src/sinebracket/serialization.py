@@ -19,15 +19,12 @@ import numpy as np
 from .algebra import GENERIC_DIMENSION_CAP
 from .dynamics import DiagnosticsRecord
 from .errors import ValidationError
-from .grid import ModeField, build_grid
+from .grid import ModeField
 
 __all__ = [
     "save_mode_field",
-    "load_mode_field",
-    "save_physical_field",
     "load_physical_field",
     "save_diagnostics",
-    "load_diagnostics",
     "save_violations",
     "load_generic_constants",
     "load_wave_vector_pairs",
@@ -110,39 +107,6 @@ def save_mode_field(path, field: ModeField) -> None:
         _write_rows(fh, MODE_FIELD_HEADER, rows)
 
 
-def load_mode_field(path) -> ModeField:
-    """Rebuild a mode field; the row order must be canonical."""
-    rows = _read_rows(
-        path,
-        MODE_FIELD_HEADER,
-        lambda r: (int(r[0]), int(r[1]), float(r[2]), float(r[3])),
-        "mode rows",
-    )
-    size = len(rows)
-    n = round((size + 1) ** 0.5)
-    if n % 2 == 0 or n * n - 1 != size:
-        raise ValidationError(f"{path}: {size} rows is not a full odd-n mode set")
-    grid = build_grid(n)
-    coeffs = np.empty(size, dtype=np.complex128)
-    for idx, (i1, i2, real, imag) in enumerate(rows):
-        expected = grid.vector_at(idx)
-        if (i1, i2) != (expected.i1, expected.i2):
-            raise ValidationError(
-                f"{path}: row {idx} holds mode ({i1}, {i2}), expected {tuple(expected)}"
-            )
-        coeffs[idx] = complex(real, imag)
-    return ModeField(grid, coeffs)
-
-
-def save_physical_field(path, values: np.ndarray) -> None:
-    """Headerless n x n grid of samples, one spatial row per line."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise ValidationError(f"physical field must be square, got shape {values.shape}")
-    with _open_write(path) as fh:
-        _write_rows(fh, None, map(tuple, values.tolist()))
-
-
 def load_physical_field(path) -> np.ndarray:
     values = np.array(_read_rows(path, (), lambda r: [float(x) for x in r], "samples"))
     if values.shape[0] != values.shape[1]:
@@ -158,12 +122,6 @@ def save_diagnostics(path, records: Sequence[DiagnosticsRecord]) -> None:
     )
     with _open_write(path) as fh:
         _write_rows(fh, DIAGNOSTICS_HEADER, rows)
-
-
-def load_diagnostics(path) -> list[DiagnosticsRecord]:
-    return _read_rows(
-        path, DIAGNOSTICS_HEADER, lambda r: DiagnosticsRecord(*map(float, r)), "diagnostics records"
-    )
 
 
 #: Rows whose tail texts :func:`save_violations` gathers at a time.

@@ -205,8 +205,9 @@ def _right_products(matrix: np.ndarray, right: Sequence[np.ndarray]) -> list[tup
     """(M @ g, |M| @ |g|) for each right-hand gradient g, |M| formed once.
 
     A left gradient h then gives the bilinear h.M.g as h @ (M @ g) and its
-    summand mass as |h| @ (|M| @ |g|), the products and the order of
-    ``_bilinear_with_scale``, so each value and scale is bitwise its own.
+    summand mass as |h| @ (|M| @ |g|), the products and the order of the
+    per-pair oracle ``bilinear_with_scale`` in ``tests/oracles.py``, so each
+    value and scale is bitwise its own.
     """
     abs_matrix = np.abs(matrix)
     return [(matrix @ g, abs_matrix @ np.abs(g)) for g in right]

@@ -17,7 +17,6 @@ from sinebracket.algebra import (
     gen_jacobi_terms,
     lie_poisson_bracket,
     nambu_bracket,
-    quadratic_casimir,
     scan_gen_jacobi,
 )
 from sinebracket.cli import DEFAULT_CONVERGENCE_PAIRS
@@ -43,6 +42,8 @@ from sinebracket.verify import (
     run_identity_suite,
     run_jacobi_scan,
 )
+
+from oracles import quadratic_casimir
 
 TWO_PI = 2.0 * math.pi
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
+import ast
 import csv
 import hashlib
 import json
@@ -24,7 +25,9 @@ from sinebracket.cli import (
     main,
 )
 from sinebracket.grid import MAX_TRUNCATION
-from sinebracket.serialization import config_hash, load_diagnostics, load_mode_field
+from sinebracket.serialization import config_hash
+
+from oracles import load_diagnostics, load_mode_field, save_physical_field
 
 
 def _write_config(tmp_path, **overrides):
@@ -192,6 +195,34 @@ def test_run_usage_errors(tmp_path):
         cfg_path, _ = _write_config(tmp_path, **overrides)
         assert main(["run", "--config", str(cfg_path)]) == EXIT_USAGE, overrides
         assert not (tmp_path / "out").exists(), overrides
+
+
+@pytest.mark.parametrize(
+    "initial_condition",
+    [
+        {"type": "shell"},
+        {"type": "modes", "modes": [[1, 0, 1.0, 0.0]]},
+        {"type": "physical_csv", "path": "samples.csv"},
+    ],
+    ids=lambda ic: ic["type"],
+)
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_run_refuses_a_negative_seed(tmp_path, capsys, initial_condition, where):
+    # a shell run once exited 2 with numpy's message, which names no key, and
+    # a modes run, which draws nothing, exited 0
+    ic = dict(initial_condition)
+    if "path" in ic:
+        ic["path"] = str(tmp_path / ic["path"])
+        save_physical_field(ic["path"], np.zeros((7, 7)))
+    cfg_path, _ = _write_config(
+        tmp_path, initial_condition=ic, **({"seed": -1} if where == "config" else {})
+    )
+    flag = ["--seed", "-1"] if where == "flag" else []
+    assert main(["run", "--config", str(cfg_path), *flag]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "seed must be a non-negative integer, got -1" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -506,7 +537,6 @@ def test_run_physical_csv_roundtrip(tmp_path):
     # physical samples of a band field: run must accept and integrate them
     from sinebracket.dynamics import random_shell_field
     from sinebracket.grid import build_grid
-    from sinebracket.serialization import save_physical_field
     from test_grid import to_physical
 
     grid = build_grid(7)
@@ -986,3 +1016,131 @@ def test_package_all_names_public_objects_only():
     for name in sinebracket.__all__:
         assert hasattr(sinebracket, name), name
         assert not isinstance(getattr(sinebracket, name), types.ModuleType), name
+
+
+# The public API, in sorted order: adding or removing a public name is an
+# edit of this list.  Helpers that only tests call live in tests/oracles.py.
+PUBLIC_API = [
+    "CheckReport",
+    "ConsistencyError",
+    "ContinuumNambuTensor",
+    "DenseKillingForm",
+    "DenseNambuTensor",
+    "DiagnosticsRecord",
+    "Functional",
+    "GenericAlgebra",
+    "IntegratorConfig",
+    "JacobiViolation",
+    "KNOWN_JACOBI_VIOLATION",
+    "ModeField",
+    "ModePolynomial",
+    "SineNambuTensor",
+    "StepConvergenceError",
+    "TruncationGrid",
+    "ValidationError",
+    "ViolationTable",
+    "WaveVector",
+    "alpha_continuum",
+    "alpha_zeitlin",
+    "alpha_zeitlin_dense",
+    "build_grid",
+    "config_hash",
+    "construct_generic",
+    "dedupe_violations",
+    "energy",
+    "enstrophy",
+    "enstrophy_functional",
+    "enstrophy_gradient",
+    "format_reports",
+    "from_physical",
+    "gen_jacobi_residual_known",
+    "gen_jacobi_terms",
+    "hamiltonian_functional",
+    "hamiltonian_gradient",
+    "integrate",
+    "killing_bruteforce",
+    "killing_closed",
+    "lie_poisson_bracket",
+    "lift",
+    "load_generic_constants",
+    "load_physical_field",
+    "lower",
+    "nambu_bracket",
+    "random_real_polynomial",
+    "random_shell_field",
+    "rhs_fast",
+    "rhs_from_lie_poisson",
+    "rhs_naive",
+    "rhs_nambu",
+    "run_convergence_study",
+    "run_counterexample",
+    "run_identity_suite",
+    "run_jacobi_scan",
+    "save_diagnostics",
+    "save_mode_field",
+    "save_violations",
+    "scan_gen_jacobi",
+    "step",
+    "support_nambu_bracket",
+    "validate_reality",
+    "write_json",
+    "write_metadata",
+]
+
+
+def test_package_all_is_the_pinned_public_api():
+    assert PUBLIC_API == sorted(PUBLIC_API)
+    assert sorted(sinebracket.__all__) == PUBLIC_API
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Module-level imported names of ``path`` that it never loads and does not
+    list in its ``__all__``; an import line marked ``# noqa: F401`` is exempt."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    loaded = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            loaded |= set(ast.literal_eval(node.value))
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in loaded and "# noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append(f"{path.name}:{alias.lineno}: {name}")
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    src = Path(sinebracket.__file__).parent
+    modules = sorted(p for p in src.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) == 8
+    assert [u for p in modules for u in _unused_imports(p)] == []
+
+
+def test_unused_import_check_sees_annotations_but_not_fields(tmp_path):
+    # an annotation loads its names; a dataclass field such as ``energy: float``
+    # stores one, so an import of that name stays unused
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from a import energy, Field, kept  # noqa: F401\n"
+        "from b import Grid, enstrophy\n"
+        "import c.d\n"
+        "class R:\n"
+        "    energy: float\n"
+        "    enstrophy: Grid\n"
+        "c.d.run(kept)\n",
+        encoding="utf-8",
+    )
+    assert _unused_imports(module) == ["m.py:2: enstrophy"]

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from sinebracket.dynamics import random_shell_field
-from sinebracket.functionals import (
-    ModePolynomial,
-    coordinate_functional,
-    random_real_polynomial,
-)
+from sinebracket.functionals import ModePolynomial, random_real_polynomial
 from sinebracket.grid import ModeField, build_grid
+
+from oracles import coordinate_functional
 
 FD_STEP = 1e-6
 

@@ -15,7 +15,6 @@ from sinebracket.algebra import (
     SineNambuTensor,
     ViolationTable,
     scan_gen_jacobi,
-    scan_gen_jacobi_continuum,
 )
 from sinebracket.dynamics import DiagnosticsRecord, random_shell_field
 from sinebracket.errors import ValidationError
@@ -23,18 +22,22 @@ from sinebracket.verify import CheckReport
 from sinebracket.grid import ModeField, build_grid
 from sinebracket.serialization import (
     config_hash,
-    load_diagnostics,
     load_generic_constants,
-    load_mode_field,
     load_physical_field,
     load_wave_vector_pairs,
     save_convergence_table,
     save_diagnostics,
     save_mode_field,
-    save_physical_field,
     save_violations,
     write_json,
     write_metadata,
+)
+
+from oracles import (
+    load_diagnostics,
+    load_mode_field,
+    save_physical_field,
+    scan_gen_jacobi_continuum,
 )
 
 
